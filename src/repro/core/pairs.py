@@ -48,6 +48,7 @@ class TrackPair:
     track_a: Track
     track_b: Track
     _sampled: set[int] = field(default_factory=set, repr=False)
+    _n_bbox_pairs: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.track_a.track_id == self.track_b.track_id:
@@ -56,6 +57,9 @@ class TrackPair:
             self.track_a, self.track_b = self.track_b, self.track_a
         if not self.track_a.observations or not self.track_b.observations:
             raise ValueError("track pairs require non-empty tracks")
+        # Paired tracks are finished, so the budget is fixed; the sampler
+        # reads it on every draw.
+        self._n_bbox_pairs = len(self.track_a) * len(self.track_b)
 
     @property
     def key(self) -> PairKey:
@@ -65,7 +69,7 @@ class TrackPair:
     @property
     def n_bbox_pairs(self) -> int:
         """``|B_{t_i} × B_{t_j}|`` — the arm's total sample budget."""
-        return len(self.track_a) * len(self.track_b)
+        return self._n_bbox_pairs
 
     @property
     def n_sampled(self) -> int:
@@ -75,7 +79,7 @@ class TrackPair:
     @property
     def exhausted(self) -> bool:
         """True when every BBox pair has been sampled (score is exact)."""
-        return len(self._sampled) >= self.n_bbox_pairs
+        return len(self._sampled) >= self._n_bbox_pairs
 
     @property
     def spatial_distance(self) -> float:
@@ -105,18 +109,19 @@ class TrackPair:
         Raises:
             RuntimeError: when the pair is exhausted.
         """
-        total = self.n_bbox_pairs
-        if len(self._sampled) >= total:
+        total = self._n_bbox_pairs
+        sampled = self._sampled
+        if len(sampled) >= total:
             raise RuntimeError(f"pair {self.key} exhausted")
-        if len(self._sampled) < total * 0.75:
+        if len(sampled) < total * 0.75:
             while True:
                 flat = int(rng.integers(0, total))
-                if flat not in self._sampled:
+                if flat not in sampled:
                     break
         else:
-            remaining = [f for f in range(total) if f not in self._sampled]
+            remaining = [f for f in range(total) if f not in sampled]
             flat = int(remaining[rng.integers(0, len(remaining))])
-        self._sampled.add(flat)
+        sampled.add(flat)
         return self._flat_to_indices(flat)
 
     def sample_bbox_pairs(

@@ -11,6 +11,7 @@ pseudo-latents so false-positive tracks look like distinct objects.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -159,9 +160,10 @@ class SimReIDModel:
         """
         params = self.params
         latent = self._latent_for(detection)
-        noise_scale = params.base_noise + params.occlusion_noise * (
-            1.0 - float(np.clip(detection.visibility, 0.0, 1.0))
-        )
+        # Scalar clip and ``sqrt(x.dot(x))`` are numpy's clip and 1-D norm
+        # bit for bit, without the per-call overhead (DESIGN.md §13.5).
+        occlusion = 1.0 - min(max(float(detection.visibility), 0.0), 1.0)
+        noise_scale = params.base_noise + params.occlusion_noise * occlusion
         # Per-crop quality: heavy-tailed multiplier plus occasional garbage
         # crops, so individual BBox-pair distances scatter widely around
         # the pair score (see ReidParams.quality_sigma).
@@ -170,19 +172,16 @@ class SimReIDModel:
                 self._rng.lognormal(0.0, params.quality_sigma)
             )
         garbage_prob = min(
-            params.outlier_prob
-            + params.occlusion_outlier
-            * (1.0 - float(np.clip(detection.visibility, 0.0, 1.0))),
-            0.9,
+            params.outlier_prob + params.occlusion_outlier * occlusion, 0.9
         )
         if garbage_prob > 0 and self._rng.random() < garbage_prob:
             noise_scale = max(noise_scale, params.outlier_noise)
         noise = self._rng.normal(0.0, 1.0, size=params.dim)
-        noise_norm = np.linalg.norm(noise)
+        noise_norm = math.sqrt(noise.dot(noise))
         if noise_norm > 0:
             noise = noise * (noise_scale / noise_norm)
         feature = latent + self._pose_offset(detection) + noise
-        norm = np.linalg.norm(feature)
+        norm = math.sqrt(feature.dot(feature))
         if norm == 0:
             return latent.copy()
         return feature / norm

@@ -18,6 +18,7 @@ normalization is stream-safe (no data-dependent max).
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from collections.abc import Iterator
 
@@ -36,8 +37,22 @@ FeatureKey = tuple[int, int]  # (track_id, observation index)
 
 
 def normalize_distance(distance: float) -> float:
-    """Map a raw feature distance in [0, 2] to the paper's d̃ ∈ [0, 1]."""
-    return float(np.clip(distance / _MAX_DISTANCE, 0.0, 1.0))
+    """Map a raw feature distance in [0, 2] to the paper's d̃ ∈ [0, 1].
+
+    ``min(max(·))`` is numpy's scalar clip, NaN included (DESIGN.md §13.5).
+    """
+    return min(max(float(distance) / _MAX_DISTANCE, 0.0), 1.0)
+
+
+def feature_distance(fa: np.ndarray, fb: np.ndarray) -> float:
+    """Euclidean distance between two 1-D float64 features.
+
+    Bit for bit ``float(np.linalg.norm(fa - fb))``: numpy computes that
+    norm as ``sqrt(x.dot(x))``, and both square roots are correctly
+    rounded (DESIGN.md §13.5).
+    """
+    d = fa - fb
+    return math.sqrt(d.dot(d))
 
 
 def normalize_distances(distances: list[float]) -> np.ndarray:
@@ -100,6 +115,36 @@ class FeatureCache:
         if self.max_entries is not None:
             self._features.move_to_end(key)
         return feature
+
+    def get_many(self, keys: list[FeatureKey]) -> list[np.ndarray | None]:
+        """:meth:`get` over ``keys`` in order, as one bulk lookup.
+
+        Hits, misses and the LRU order end exactly as a :meth:`get` per key
+        leaves them; the telemetry mirrors receive each total once, the
+        counter touched first by the per-key path first.
+        """
+        features = self._features
+        lru = self.max_entries is not None
+        found = []
+        hits = 0
+        for key in keys:
+            feature = features.get(key)
+            if feature is not None:
+                hits += 1
+                if lru:
+                    features.move_to_end(key)
+            found.append(feature)
+        misses = len(found) - hits
+        self.n_hits += hits
+        self.n_misses += misses
+        if self.telemetry is not None and found:
+            totals = [("cache.hits", hits), ("cache.misses", misses)]
+            if found[0] is None:
+                totals.reverse()
+            for name, amount in totals:
+                if amount:
+                    self.telemetry.count(name, amount)
+        return found
 
     def put(self, key: FeatureKey, feature: np.ndarray) -> None:
         """Store ``feature`` under ``key``, evicting LRU on overflow."""
@@ -198,7 +243,7 @@ class ReidScorer:
         "not a match") and counted in the ``reid.nonfinite_clamped``
         telemetry counter (readable as :attr:`n_nonfinite_clamped`).
         """
-        if np.isfinite(distance):
+        if math.isfinite(distance):
             return float(distance)
         if contracts.ENABLED:
             contracts.check_finite_distance(distance, where=where)
@@ -251,7 +296,7 @@ class ReidScorer:
         fa = self.feature(track_a, index_a)
         fb = self.feature(track_b, index_b)
         self.cost.charge_distance(1)
-        return float(np.linalg.norm(fa - fb))
+        return feature_distance(fa, fb)
 
     def distance_fresh(
         self, track_a: Track, index_a: int, track_b: Track, index_b: int
@@ -268,7 +313,7 @@ class ReidScorer:
         fb = self.model.extract(track_b.observations[index_b].detection)
         self.cost.charge_extract(2)
         self.cost.charge_distance(1)
-        return float(np.linalg.norm(fa - fb))
+        return feature_distance(fa, fb)
 
     def normalized_distance(
         self, track_a: Track, index_a: int, track_b: Track, index_b: int
@@ -372,40 +417,44 @@ class ReidScorer:
         if not requests:
             return []
 
-        # Identify the distinct uncached features needed, keeping every
-        # feature this call touches in a local map so results cannot be
-        # invalidated by LRU eviction mid-call.
-        features: dict[FeatureKey, np.ndarray] = {}
-        needed: dict[FeatureKey, tuple[Track, int]] = {}
+        # The distinct crops in first-request order, probed in one bulk
+        # lookup.  Every feature this call touches stays in a local map so
+        # results cannot be invalidated by LRU eviction mid-call.
+        crops: dict[FeatureKey, tuple[Track, int]] = {}
         for track_a, ia, track_b, ib in requests:
-            for track, idx in ((track_a, ia), (track_b, ib)):
-                key = (track.track_id, idx)
-                if key in features or key in needed:
-                    continue
-                cached = self.cache.get(key)
-                if cached is None:
-                    needed[key] = (track, idx)
-                else:
-                    features[key] = cached
+            key = (track_a.track_id, ia)
+            if key not in crops:
+                crops[key] = (track_a, ia)
+            key = (track_b.track_id, ib)
+            if key not in crops:
+                crops[key] = (track_b, ib)
+        features: dict[FeatureKey, np.ndarray] = {}
+        needed: list[FeatureKey] = []
+        for key, cached in zip(crops, self.cache.get_many(list(crops))):
+            if cached is None:
+                needed.append(key)
+            else:
+                features[key] = cached
 
         self.telemetry.count("reid.batched_requests", len(requests))
         if needed:
             self.cost.charge_extract_batched(
                 len(needed), batch_size=2 * batch_size
             )
-            for key, (track, idx) in needed.items():
-                detection = track.observations[idx].detection
-                feature = self.model.extract(detection)
+            for key in needed:
+                track, idx = crops[key]
+                feature = self.model.extract(track.observations[idx].detection)
                 self.cache.put(key, feature)
                 features[key] = feature
 
         self.cost.charge_distance(len(requests))
-        distances = []
-        for track_a, ia, track_b, ib in requests:
-            fa = features[(track_a.track_id, ia)]
-            fb = features[(track_b.track_id, ib)]
-            distances.append(float(np.linalg.norm(fa - fb)))
-        return distances
+        return [
+            feature_distance(
+                features[(track_a.track_id, ia)],
+                features[(track_b.track_id, ib)],
+            )
+            for track_a, ia, track_b, ib in requests
+        ]
 
     def distances_batched_fresh(
         self,
@@ -429,7 +478,7 @@ class ReidScorer:
         for track_a, ia, track_b, ib in requests:
             fa = self.model.extract(track_a.observations[ia].detection)
             fb = self.model.extract(track_b.observations[ib].detection)
-            distances.append(float(np.linalg.norm(fa - fb)))
+            distances.append(feature_distance(fa, fb))
         return distances
 
     def normalized_distances_batched(

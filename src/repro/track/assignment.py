@@ -6,6 +6,14 @@ cost matrices by operating on rows ≤ columns and transposing otherwise.
 :func:`greedy_assignment` is the cheap alternative some trackers (IoU
 tracker) use.  :func:`solve_assignment` wraps either with cost gating, which
 is how the trackers consume them.
+
+With a finite gate, :func:`solve_assignment` first checks whether every row
+and every column holds at most one admissible entry (finite and
+``<= max_cost``).  That is the usual tracker frame, and there the answer is
+exactly those entries in row order: the clamping sentinel exceeds every
+admissible cost, so any optimal assignment of the clamped matrix contains
+all of them, and filtering leaves nothing else.  Hungarian then runs only
+on frames with conflicts (DESIGN.md §13.5).
 """
 
 from __future__ import annotations
@@ -145,11 +153,24 @@ def solve_assignment(
     if np.isfinite(max_cost):
         # Clamp forbidden entries to a large-but-finite sentinel so the
         # solver stays numerically happy, then filter them out.
-        finite_max = float(np.max(cost[np.isfinite(cost)], initial=0.0))
+        finite = np.isfinite(cost)
+        admissible = finite & (cost <= max_cost)
+        finite_max = float(np.max(cost[finite], initial=0.0))
         sentinel = (max(finite_max, max_cost) + 1.0) * 10.0
-        clamped = np.where(
-            np.isfinite(cost) & (cost <= max_cost), cost, sentinel
-        )
+        # Conflict-free gating (the common tracker frame): every optimal
+        # assignment of the clamped matrix holds all admissible entries,
+        # so the filtered result is exactly them.  -inf entries are
+        # clamped yet pass the final filter, so they keep the solver.
+        if (
+            cost.ndim == 2
+            and np.isfinite(sentinel)
+            and admissible.sum(axis=0).max() <= 1
+            and admissible.sum(axis=1).max() <= 1
+            and not np.isneginf(cost).any()
+        ):
+            rows, cols = np.nonzero(admissible)
+            return list(zip(rows.tolist(), cols.tolist()))
+        clamped = np.where(admissible, cost, sentinel)
     else:
         clamped = cost
     pairs = hungarian(clamped)

@@ -154,12 +154,13 @@ class TracktorStream(TrackerStream):
             if detection.confidence < cfg.new_det_confidence:
                 continue
             # Tracktor suppresses new tracks overlapping active ones
-            # (they are assumed to be the same object).
-            overlapping = any(
-                iou_matrix([rt.box], [detection.bbox])[0, 0] > 0.3
-                for rt in self.active
+            # (they are assumed to be the same object), including tracks
+            # this loop has just started.  IoU is elementwise, so one
+            # column equals the per-track values.
+            overlaps = iou_matrix(
+                [rt.box for rt in self.active], [detection.bbox]
             )
-            if overlapping:
+            if (overlaps > 0.3).any():
                 continue
             track = Track(self.next_id)
             track.append(frame, detection)

@@ -1,6 +1,7 @@
 """Unit tests for repro.track.assignment (Hungarian and greedy matching)."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -143,3 +144,92 @@ def test_hungarian_optimal_property(n, m, seed):
     assert assignment_cost(cost, pairs) == pytest.approx(
         cost[expected_rows, expected_cols].sum()
     )
+
+
+def reference_solve(cost: np.ndarray, max_cost: float) -> list:
+    """Gated solve by definition: Hungarian on the clamped matrix, then
+    the gated pairs filtered out (the fast path must reproduce this)."""
+    finite = np.isfinite(cost)
+    finite_max = float(np.max(cost[finite], initial=0.0))
+    sentinel = (max(finite_max, max_cost) + 1.0) * 10.0
+    clamped = np.where(finite & (cost <= max_cost), cost, sentinel)
+    return [(r, c) for r, c in hungarian(clamped) if cost[r, c] <= max_cost]
+
+
+# Tracker-like costs (1 - IoU) around a gate of 0.6, plus ties, values above
+# every gate and non-finite entries.
+_COST_VALUES = st.sampled_from(
+    [0.0, 0.1, 0.35, 0.35, 0.6, 0.61, 0.9, 1.0, 4.0, np.inf, np.nan]
+)
+
+
+@st.composite
+def gated_matrices(draw, values=_COST_VALUES):
+    """A cost matrix of either orientation plus a finite gate."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 6))
+    flat = draw(st.lists(values, min_size=n * m, max_size=n * m))
+    max_cost = draw(st.sampled_from([0.35, 0.6, 0.95, 2.0]))
+    return np.asarray(flat, dtype=np.float64).reshape(n, m), max_cost
+
+
+@st.composite
+def conflict_free_matrices(draw):
+    """At most one admissible entry per row and column: a random partial
+    matching of cheap entries over a gated or non-finite background."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 6))
+    background = draw(
+        st.lists(
+            st.sampled_from([0.61, 0.9, 1.0, 4.0, np.inf, np.nan]),
+            min_size=n * m,
+            max_size=n * m,
+        )
+    )
+    cost = np.asarray(background, dtype=np.float64).reshape(n, m)
+    cols = draw(st.permutations(range(m)))
+    for row in range(n):
+        if row < m and draw(st.booleans()):
+            cost[row, cols[row]] = draw(st.sampled_from([0.0, 0.2, 0.6]))
+    return cost, 0.6
+
+
+class TestGatedFastPath:
+    @settings(max_examples=300, deadline=None)
+    @given(case=gated_matrices())
+    def test_matches_filtered_hungarian(self, case):
+        cost, max_cost = case
+        assert solve_assignment(cost, max_cost=max_cost) == reference_solve(
+            cost, max_cost
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=conflict_free_matrices())
+    def test_conflict_free_skips_hungarian(self, case):
+        cost, max_cost = case
+        expected = reference_solve(cost, max_cost)
+        forbidden = AssertionError("conflict-free frame reached Hungarian")
+        with mock.patch(
+            "repro.track.assignment.hungarian", side_effect=forbidden
+        ):
+            assert solve_assignment(cost, max_cost=max_cost) == expected
+        admissible = np.isfinite(cost) & (cost <= max_cost)
+        assert expected == [tuple(rc) for rc in np.argwhere(admissible)]
+
+    def test_neg_inf_keeps_the_solver(self):
+        # -inf is clamped like any forbidden entry but passes the final
+        # filter, so it is returned when Hungarian assigns it.
+        cost = np.array([[-np.inf, 0.9], [0.9, 0.9]])
+        assert solve_assignment(cost, max_cost=0.5) == reference_solve(
+            cost, 0.5
+        )
+        assert solve_assignment(cost, max_cost=0.5) == [(0, 0)]
+
+    def test_sentinel_overflow_still_raises(self):
+        # A gate near float max overflows the sentinel to inf; the solver
+        # rejects that, conflict-free or not.
+        cost = np.array([[np.inf, 0.5], [0.5, np.inf]])
+        with pytest.raises(ValueError):
+            reference_solve(cost, 1e308)
+        with pytest.raises(ValueError):
+            solve_assignment(cost, max_cost=1e308)

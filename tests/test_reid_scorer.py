@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import make_track, tiny_world
 
@@ -13,6 +14,8 @@ from repro.reid import (
     SimReIDModel,
     normalize_distance,
 )
+from repro.reid.scorer import feature_distance
+from repro.telemetry import Telemetry
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +122,81 @@ class TestFeatureCache:
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):
             FeatureCache(max_entries=0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        capacity=st.sampled_from([None, 1, 2, 4]),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["put", "get_many"]),
+                st.lists(st.integers(0, 6), min_size=0, max_size=6),
+            ),
+            max_size=12,
+        ),
+    )
+    def test_get_many_matches_per_key_get(self, capacity, ops):
+        """The bulk lookup leaves counters, LRU order and the telemetry
+        mirrors (values and creation order) as a get per key does."""
+        bulk = FeatureCache(capacity, telemetry=Telemetry())
+        single = FeatureCache(capacity, telemetry=Telemetry())
+        for op, ids in ops:
+            keys = [(0, i) for i in ids]
+            if op == "put":
+                for key in keys:
+                    feature = np.full(2, float(key[1]))
+                    bulk.put(key, feature)
+                    single.put(key, feature)
+                continue
+            found = bulk.get_many(keys)
+            expected = [single.get(key) for key in keys]
+            assert [f is None for f in found] == [f is None for f in expected]
+            assert all(
+                f is e for f, e in zip(found, expected) if f is not None
+            )
+        assert bulk.stats() == single.stats()
+        assert [k for k, _ in bulk.items()] == [k for k, _ in single.items()]
+        assert list(
+            bulk.telemetry.metrics.counters_snapshot().items()
+        ) == list(single.telemetry.metrics.counters_snapshot().items())
+
+
+class TestScalarIdentities:
+    """The scalar rewrites of DESIGN.md §13.5 equal numpy bit for bit."""
+
+    SPECIAL = [
+        0.0, 5e-324, 0.25, 1.0, 1.5, 2.0, 2.0000000000000004, 3.9,
+        -1.0, np.inf, -np.inf, np.nan,
+    ]
+
+    @staticmethod
+    def bits(value: float) -> bytes:
+        return np.float64(value).tobytes()
+
+    def test_normalize_distance_is_numpy_clip(self):
+        for d in self.SPECIAL:
+            ours = normalize_distance(d)
+            assert type(ours) is float
+            assert self.bits(ours) == self.bits(
+                np.clip(d / 2.0, 0.0, 1.0)
+            ), d
+        # Signed zero: equal in value whichever sign numpy keeps.
+        assert normalize_distance(-0.0) == 0.0
+
+    def test_feature_distance_is_numpy_norm(self):
+        rng = np.random.default_rng(5)
+        for dim in (2, 16, 64, 127):
+            for _ in range(50):
+                fa, fb = rng.normal(size=(2, dim))
+                fa /= np.linalg.norm(fa)
+                ours = feature_distance(fa, fb)
+                assert type(ours) is float
+                assert self.bits(ours) == self.bits(
+                    np.linalg.norm(fa - fb)
+                )
+        nan = np.full(4, np.nan)
+        assert np.isnan(feature_distance(nan, np.zeros(4)))
+        inf = np.array([np.inf, 0.0])
+        assert feature_distance(inf, np.zeros(2)) == np.inf
 
 
 class TestBoundedScorer:
