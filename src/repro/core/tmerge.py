@@ -55,14 +55,13 @@ from repro.telemetry import Telemetry, profiled
 
 _POSTERIORS = ("beta", "gaussian")
 
-#: Checkpoint payload schema version.  v1 (implicit — payloads without a
-#: ``version`` key) predates the vectorized sampler and never recorded the
-#: batch size; v2 records both so a resume with a mismatched ``batch_size``
-#: fails loudly instead of silently diverging from the interrupted run.
-#: v3 adds the decision ledger's state (``"ledger"``, ``None`` when the
-#: run records no provenance), so a kill+resume reconstructs the decision
-#: log bit-exactly; v1/v2 payloads still load when no ledger is attached
-#: (see :meth:`TMerge._check_checkpoint_compat`).
+#: Checkpoint payload schema version; a resume accepts only this one.
+#: v3 records the effective batch size, so a resume with a mismatched
+#: ``batch_size`` fails loudly instead of silently diverging from the
+#: interrupted run, and the decision ledger's state (``"ledger"``,
+#: ``None`` when the run records no provenance), so a kill+resume
+#: reconstructs the decision log bit-exactly (see
+#: :meth:`TMerge._check_checkpoint_compat`).
 CHECKPOINT_VERSION = 3
 
 #: Gaussian-posterior prior variance.  0.25 is the largest variance any
@@ -500,42 +499,31 @@ class TMerge:
     def _check_checkpoint_compat(self, saved: dict) -> None:
         """Refuse to resume a snapshot this configuration cannot honour.
 
-        v1 payloads (no ``version`` key) predate the vectorized sampler
-        and never recorded the batch size, so they are only trusted on
-        the scalar path — the one whose RNG consumption is unchanged
-        since v1.  v2 payloads record the *effective* batch (``None`` and
-        ``1`` are the same scalar algorithm), and a resume must use the
-        same one: a different batch consumes the RNG stream differently,
-        so continuing would silently diverge from the interrupted run.
-        v3 payloads additionally carry the decision-ledger state; older
-        payloads (and v3 payloads written without a ledger) refuse to
-        resume into a ledger-attached run, because the pre-crash decision
-        events would be silently missing from the reconstructed log.
-        Merge *results* never depend on the ledger, so payloads carrying
-        ledger state load fine into ledger-free runs (the state is just
-        ignored).
+        Only :data:`CHECKPOINT_VERSION` payloads resume; any other
+        version, or none at all, is refused.  The payload records the
+        *effective* batch (``None`` and ``1`` are the same scalar
+        algorithm), and a resume must use the same one: a different batch
+        consumes the RNG stream differently, so continuing would silently
+        diverge from the interrupted run.  A payload written without a
+        ledger refuses to resume into a ledger-attached run, because the
+        pre-crash decision events would be silently missing from the
+        reconstructed log.  Merge *results* never depend on the ledger,
+        so payloads carrying ledger state load fine into ledger-free runs
+        (the state is just ignored).
         """
-        version = int(saved.get("version", 1))
-        if version > CHECKPOINT_VERSION:
+        version = saved.get("version")
+        if version != CHECKPOINT_VERSION:
             raise ValueError(
-                f"checkpoint version {version} is newer than this "
-                f"TMerge build supports ({CHECKPOINT_VERSION})"
+                f"checkpoint version {version!r} is not supported: this "
+                f"TMerge build resumes only version {CHECKPOINT_VERSION}"
             )
         if self.ledger is not None and saved.get("ledger") is None:
             raise ValueError(
-                f"checkpoint (version {version}) carries no decision-"
-                "ledger state; resuming it with a ledger attached would "
-                "silently drop every pre-crash decision event — resume "
-                "without a ledger, or re-run from scratch"
+                "checkpoint carries no decision-ledger state; resuming it "
+                "with a ledger attached would silently drop every "
+                "pre-crash decision event — resume without a ledger, or "
+                "re-run from scratch"
             )
-        if version == 1:
-            if self._effective_batch is not None:
-                raise ValueError(
-                    "v1 checkpoints predate batched snapshots and can "
-                    "only resume on the scalar path "
-                    f"(batch_size=None or 1, got {self.batch_size})"
-                )
-            return
         saved_batch = saved.get("batch")
         if saved_batch != self._effective_batch:
             raise ValueError(

@@ -17,9 +17,13 @@ from dataclasses import dataclass, field
 from pathlib import PurePosixPath
 from typing import ClassVar
 
-#: Subpackages whose arithmetic feeds the paper's simulated-cost results;
-#: wall-clock reads and float equality are forbidden there (REPRO002/006).
-COST_PATH_SUBPACKAGES = frozenset({"core", "bandit", "reid"})
+#: Subpackages whose arithmetic feeds the paper's simulated-cost results,
+#: or that carry window outcomes to them (the parallel engine, the
+#: streaming service, retries and fault injection); wall-clock reads are
+#: forbidden there (REPRO002).
+COST_PATH_SUBPACKAGES = frozenset(
+    {"core", "bandit", "reid", "parallel", "streaming", "resilience", "faults"}
+)
 
 #: Module basenames treated as CLI entry points, exempt from the
 #: library-hygiene rule (REPRO004): user-facing output via ``print`` is

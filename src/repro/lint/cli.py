@@ -1,20 +1,16 @@
 """Command-line entry point: ``python -m repro.lint <paths...>``.
 
-Two modes share the executable:
+Runs the per-file REPRO001–011 AST rules over every file under the
+given paths.  ``--list-rules`` prints the registry instead and, with
+``--check-docs``, drift-checks a document against it.
 
-* **per-file** (default) — the REPRO001–010 AST rules over every file;
-* **whole-program** (``--flow``) — the REPRO101–106 seam-contract
-  analysis of :mod:`repro.lint.flow`, with text or JSON output and the
-  committed baseline of known-accepted effects.
-
-Exit status is 0 when clean, 1 when violations (or parse errors, or
-non-baselined flow violations) were found, and 2 on usage errors.
+Exit status is 0 when clean, 1 when violations (or parse errors) were
+found, and 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from pathlib import Path
@@ -30,19 +26,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.lint",
         description=(
             "Repo-specific static analysis for the TMerge stack: per-file "
-            "AST rules (REPRO001-010) and, with --flow, the whole-program "
-            "determinism analysis (REPRO101-106) that proves the parallel "
-            "engine's seam contract."
+            "AST rules (REPRO001-011)."
         ),
     )
     parser.add_argument(
         "paths",
         nargs="*",
         default=None,
-        help=(
-            "files or directories to lint (default: src tests benchmarks; "
-            "with --flow: src)"
-        ),
+        help="files or directories to lint (default: src tests benchmarks)",
     )
     parser.add_argument(
         "--select",
@@ -52,10 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--list-rules",
         action="store_true",
-        help=(
-            "print every rule and flow diagnostic (id, title, rationale), "
-            "then exit"
-        ),
+        help="print every rule (id, title, rationale), then exit",
     )
     parser.add_argument(
         "--check-docs",
@@ -70,58 +58,14 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="suppress per-violation lines; print only the summary",
     )
-    parser.add_argument(
-        "--flow",
-        action="store_true",
-        help=(
-            "run the whole-program determinism analysis instead of the "
-            "per-file rules"
-        ),
-    )
-    parser.add_argument(
-        "--format",
-        dest="output_format",
-        choices=("text", "json"),
-        default="text",
-        help="--flow report format (default: text)",
-    )
-    parser.add_argument(
-        "--output",
-        metavar="PATH",
-        help="also write the --flow report (in the chosen format) to PATH",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help=(
-            "flow baseline file of accepted effects "
-            "(default: lint-flow-baseline.json when it exists)"
-        ),
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file; report every violation as new",
-    )
     return parser
 
 
 def _list_rules(check_docs: str | None) -> int:
-    """Print the combined rule registry; optionally drift-check a doc."""
-    from repro.lint.flow.effects import DIAGNOSTICS_BY_ID
-
-    entries = [
-        (rule.rule_id, rule.title, rule.rationale) for rule in ALL_RULES
-    ] + [
-        (diag.rule_id, diag.title, diag.rationale)
-        for diag in sorted(
-            DIAGNOSTICS_BY_ID.values(), key=lambda d: d.rule_id
-        )
-    ]
-    for rule_id, title, rationale in entries:
-        print(f"{rule_id}  {title}")
-        print(f"    {rationale}")
+    """Print the rule registry; optionally drift-check a doc."""
+    for rule in ALL_RULES:
+        print(f"{rule.rule_id}  {rule.title}")
+        print(f"    {rule.rationale}")
     if check_docs is None:
         return 0
     doc_path = Path(check_docs)
@@ -129,7 +73,7 @@ def _list_rules(check_docs: str | None) -> int:
         print(f"--check-docs: {check_docs} not found", file=sys.stderr)
         return 2
     doc = doc_path.read_text(encoding="utf-8")
-    known = {rule_id for rule_id, _, _ in entries}
+    known = set(RULES_BY_ID)
     mentioned = set(re.findall(r"REPRO\d{3}", doc))
     missing = sorted(known - mentioned)
     unknown = sorted(mentioned - known)
@@ -149,89 +93,6 @@ def _list_rules(check_docs: str | None) -> int:
     return 0
 
 
-def _run_flow(args: argparse.Namespace) -> int:
-    """The ``--flow`` mode body."""
-    from repro.lint.flow import (
-        DEFAULT_BASELINE_PATH,
-        Baseline,
-        FlowAnalysis,
-        check_contracts,
-        split_by_baseline,
-    )
-
-    paths = args.paths if args.paths else ["src"]
-    baseline = Baseline()
-    baseline_path: str | None = None
-    if not args.no_baseline:
-        candidate = args.baseline or DEFAULT_BASELINE_PATH
-        if Path(candidate).is_file():
-            baseline_path = candidate
-            baseline = Baseline.load(candidate)
-        elif args.baseline is not None:
-            print(f"baseline file not found: {candidate}", file=sys.stderr)
-            return 2
-
-    analysis = FlowAnalysis.build(paths)
-    report = check_contracts(analysis)
-    split = split_by_baseline(report.violations, baseline)
-    stats = analysis.stats()
-
-    document = {
-        "schema": 1,
-        "stats": stats,
-        "baseline": baseline_path,
-        "violations": [
-            {**violation.to_dict(), "baselined": False}
-            for violation in split.new
-        ]
-        + [
-            {**violation.to_dict(), "baselined": True}
-            for violation in split.suppressed
-        ],
-        "stale_suppressions": split.stale_keys,
-        "missing_roots": [
-            {"contract": contract, "root": root}
-            for contract, root in report.missing_roots
-        ],
-    }
-
-    if args.output_format == "json":
-        rendered = json.dumps(document, indent=2)
-    else:
-        lines: list[str] = []
-        if not args.quiet:
-            for violation in split.new:
-                lines.append(violation.render())
-            for violation in split.suppressed:
-                lines.append(f"baselined: {violation.key}")
-        for contract, root in report.missing_roots:
-            lines.append(
-                f"warning: contract `{contract}` root `{root}` not found "
-                "in the analyzed code (renamed seam? update the contract)"
-            )
-        for key in split.stale_keys:
-            lines.append(f"warning: stale baseline suppression: {key}")
-        lines.append(
-            f"flow: {stats['n_modules']} module(s), "
-            f"{stats['n_functions']} function(s), "
-            f"{stats['n_edges']} edge(s); "
-            f"{len(split.new)} new violation(s), "
-            f"{len(split.suppressed)} baselined"
-        )
-        rendered = "\n".join(lines)
-    print(rendered)
-    if args.output:
-        output_path = Path(args.output)
-        output_path.parent.mkdir(parents=True, exist_ok=True)
-        if args.output_format == "json":
-            output_path.write_text(rendered + "\n")
-        else:
-            output_path.write_text(
-                json.dumps(document, indent=2) + "\n"
-            )
-    return 1 if split.new else 0
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """Run the linter; return the process exit status."""
     parser = build_parser()
@@ -239,11 +100,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.list_rules:
         return _list_rules(args.check_docs)
-
-    if args.flow:
-        if args.select:
-            parser.error("--select applies to per-file rules, not --flow")
-        return _run_flow(args)
 
     if args.select:
         wanted = [part.strip() for part in args.select.split(",") if part.strip()]

@@ -109,8 +109,7 @@ class NoAmbientRandomnessRule(Rule):
                                 "stdlib `random` is banned in library code; "
                                 "accept an `rng: np.random.Generator` "
                                 "parameter seeded from the run's "
-                                "`SeedSequence` substream (REPRO102 traces "
-                                "leaks across calls)",
+                                "`SeedSequence` substream",
                             )
                         )
             elif isinstance(node, ast.ImportFrom):
@@ -121,8 +120,7 @@ class NoAmbientRandomnessRule(Rule):
                             node,
                             "stdlib `random` is banned in library code; "
                             "accept an `rng: np.random.Generator` parameter "
-                            "seeded from the run's `SeedSequence` substream "
-                            "(REPRO102 traces leaks across calls)",
+                            "seeded from the run's `SeedSequence` substream",
                         )
                     )
                 elif node.module in ("numpy.random", "np.random"):
@@ -153,8 +151,7 @@ class NoAmbientRandomnessRule(Rule):
                             f"`{'.'.join(chain)}()` uses numpy's global RNG; "
                             "draw from an injected `rng: "
                             "np.random.Generator` parameter seeded from the "
-                            "run's `SeedSequence` substream (REPRO102 traces "
-                            "leaks across calls)",
+                            "run's `SeedSequence` substream",
                         )
                     )
         return violations
@@ -167,9 +164,9 @@ class SimulatedCostOnlyRule(Rule):
     title = "no wall-clock time on the simulated-cost path"
     rationale = (
         "All figures report the simulated `scorer.cost` clock; a "
-        "`time.time()`/`perf_counter()` read inside core/bandit/reid "
-        "silently turns reproducible cost accounting into machine-"
-        "dependent wall time."
+        "`time.time()`/`perf_counter()` read inside core, bandit, reid, "
+        "parallel, streaming, resilience or faults silently turns "
+        "reproducible cost accounting into machine-dependent wall time."
     )
     violating_example = textwrap.dedent(
         """\
@@ -191,7 +188,7 @@ class SimulatedCostOnlyRule(Rule):
     )
 
     def applies_to(self, ctx: FileContext) -> bool:
-        """Only the cost-path subpackages (core, bandit, reid)."""
+        """Only the cost-path subpackages (:data:`COST_PATH_SUBPACKAGES`)."""
         return ctx.is_cost_path
 
     def check(self, tree: ast.Module, ctx: FileContext) -> list[Violation]:
@@ -208,8 +205,7 @@ class SimulatedCostOnlyRule(Rule):
                                 f"`from time import {alias.name}` on the "
                                 "simulated-cost path; charge the injected "
                                 "`CostModel` clock (`scorer.cost`, read via "
-                                "`cost.seconds`/`cost.milliseconds`) instead "
-                                "(REPRO101 traces reads across calls)",
+                                "`cost.seconds`/`cost.milliseconds`) instead",
                             )
                         )
             elif isinstance(node, ast.Call):
@@ -227,8 +223,7 @@ class SimulatedCostOnlyRule(Rule):
                             f"`{'.'.join(chain)}()` reads the wall clock on "
                             "the simulated-cost path; charge the injected "
                             "`CostModel` clock (`scorer.cost`, read via "
-                            "`cost.seconds`/`cost.milliseconds`) instead "
-                            "(REPRO101 traces reads across calls)",
+                            "`cost.seconds`/`cost.milliseconds`) instead",
                         )
                     )
         return violations

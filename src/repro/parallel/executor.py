@@ -31,7 +31,8 @@ in order — state that cannot be split across workers without changing
 results.  See DESIGN.md §9 for the full argument.
 
 Aggregation happens in window-index order regardless of completion
-order: window clocks fold into the run clock via
+order, through :meth:`WindowOutcome.fold_into` (shared with the
+streaming service): window clocks fold into the run clock via
 :meth:`~repro.reid.cost.CostModel.merge_state`, worker counters via
 :meth:`~repro.telemetry.metrics.MetricsRegistry.merge_delta`, worker
 spans via :meth:`~repro.telemetry.tracing.Tracer.absorb`, so even the
@@ -141,6 +142,32 @@ class WindowOutcome:
     resilience_stats: dict[str, float] = field(default_factory=dict)
     histograms: dict[str, dict] = field(default_factory=dict)
     ledger_events: list[dict] = field(default_factory=list)
+
+    def fold_into(
+        self,
+        cost: CostModel,
+        resilience_stats: dict[str, float],
+        telemetry: Telemetry | None,
+        ledger: DecisionLedger | None,
+    ) -> None:
+        """Fold this window's clock, resilience counters, telemetry and
+        decision events into the run-level ones.
+
+        Callers fold outcomes in window-index order: that order fixes the
+        floating-point accumulation order, so the run-level totals are
+        worker-count independent (DESIGN.md §9).
+        """
+        cost.merge_state(self.cost_state)
+        for name, value in self.resilience_stats.items():
+            resilience_stats[name] = resilience_stats.get(name, 0.0) + value
+        if telemetry is not None:
+            telemetry.metrics.merge_delta(self.counters)
+            telemetry.metrics.merge_histograms(self.histograms)
+            telemetry.tracer.absorb(
+                [Span.from_dict(payload) for payload in self.spans]
+            )
+        if ledger is not None:
+            ledger.absorb(self.ledger_events)
 
 
 def _run_window_task(shard: ShardTask, item: WindowTask) -> WindowOutcome:
@@ -431,18 +458,9 @@ def run_windows(
                 window_metrics.append({})
             continue
         window_results.append(outcome.result)
-        cost.merge_state(outcome.cost_state)
-        for name, value in outcome.resilience_stats.items():
-            stats_total[name] = stats_total.get(name, 0.0) + value
+        outcome.fold_into(cost, stats_total, telemetry, ledger)
         if telemetry is not None:
-            telemetry.metrics.merge_delta(outcome.counters)
-            telemetry.metrics.merge_histograms(outcome.histograms)
             window_metrics.append(dict(outcome.counters))
-            telemetry.tracer.absorb(
-                [Span.from_dict(payload) for payload in outcome.spans]
-            )
-        if ledger is not None:
-            ledger.absorb(outcome.ledger_events)
     if telemetry is not None:
         for shard in plan.shards:
             with telemetry.span(

@@ -77,14 +77,12 @@ from repro.streaming.events import (
 from repro.streaming.policy import BackpressurePolicy, IntakeQueue
 from repro.streaming.watermark import ReorderBuffer, WatermarkTracker
 from repro.telemetry import Telemetry
-from repro.telemetry.tracing import Span
 from repro.track.base import Track, Tracker
 
-#: Checkpoint schema version (bump on incompatible layout changes).
-#: v1 (pre-provenance) payloads lack the ``ledger`` / ``bp_active``
-#: keys; they restore fine into ledger-free services, but a service
-#: carrying a :class:`~repro.provenance.DecisionLedger` refuses them —
-#: pre-crash decision events would silently vanish otherwise.
+#: Checkpoint schema version (bump on incompatible layout changes); a
+#: resume accepts only this one.  v2 carries the decision ledger's state
+#: (``None`` when the service records no provenance) and the
+#: backpressure verdict.
 CHECKPOINT_VERSION = 2
 
 
@@ -368,18 +366,19 @@ class StreamingIngestionService:
         payload = self.store.load(["stream", self.checkpoint_key])
         if payload is None:
             return False
-        version = int(payload["version"])
-        if version < 1 or version > CHECKPOINT_VERSION:
+        version = payload.get("version")
+        if version != CHECKPOINT_VERSION:
             raise ValueError(
-                f"checkpoint version {payload['version']} not supported"
+                f"checkpoint version {version!r} is not supported: this "
+                f"service resumes only version {CHECKPOINT_VERSION}"
             )
-        if version < 2 and self.ledger is not None:
-            # A pre-provenance snapshot carries no ledger state: resuming
-            # it into a ledger-attached service would silently drop every
-            # pre-crash decision event.  Refuse loudly instead.
+        if self.ledger is not None and payload["ledger"] is None:
+            # A snapshot written without a ledger: resuming it into a
+            # ledger-attached service would silently drop every pre-crash
+            # decision event.  Refuse loudly instead.
             raise ValueError(
-                "checkpoint version 1 carries no decision-ledger state; "
-                "resume without a ledger or restart from scratch"
+                "checkpoint carries no decision-ledger state; resume "
+                "without a ledger or restart from scratch"
             )
         self.position = int(payload["position"])
         self.now_ms = float(payload["now_ms"])
@@ -413,8 +412,8 @@ class StreamingIngestionService:
             str(k): float(v)
             for k, v in payload["resilience_stats"].items()
         }
-        self._bp_active = bool(payload.get("bp_active", False))
-        if self.ledger is not None and payload.get("ledger") is not None:
+        self._bp_active = bool(payload["bp_active"])
+        if self.ledger is not None:
             self.ledger.load_state_dict(payload["ledger"])
         return True
 
@@ -688,19 +687,9 @@ class StreamingIngestionService:
         pairs = build_track_pairs(tracks, prev)
         if outcome is not None:
             result = outcome.result
-            self.cost.merge_state(outcome.cost_state)
-            for name, value in outcome.resilience_stats.items():
-                self.resilience_stats[name] = (
-                    self.resilience_stats.get(name, 0.0) + value
-                )
-            if self.telemetry is not None:
-                self.telemetry.metrics.merge_delta(outcome.counters)
-                self.telemetry.metrics.merge_histograms(outcome.histograms)
-                self.telemetry.tracer.absorb(
-                    [Span.from_dict(p) for p in outcome.spans]
-                )
-            if self.ledger is not None:
-                self.ledger.absorb(outcome.ledger_events)
+            outcome.fold_into(
+                self.cost, self.resilience_stats, self.telemetry, self.ledger
+            )
             self._window_metrics.append(dict(outcome.counters))
         else:
             if entry["degraded"] and pairs:

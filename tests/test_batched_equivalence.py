@@ -9,11 +9,9 @@ Three guarantees are enforced here:
 * **B=1 ≡ scalar** — ``batch_size=1`` degenerates to the scalar
   algorithm bit-for-bit, across seeds × fault profiles × worker counts
   (the pipeline-level knob threads end to end).
-* **Checkpoint compatibility** — a v1 (pre-batch) snapshot
-  (``tests/fixtures/checkpoint_v1.json``) still loads and completes on
-  the scalar path bit-identically; a batched run checkpointed mid-window
-  resumes bit-identically; mismatched batch sizes or unknown versions
-  refuse loudly.
+* **Checkpoint compatibility** — a batched run checkpointed mid-window
+  resumes bit-identically; mismatched batch sizes and any checkpoint
+  version but the current one refuse loudly.
 
 The underlying RNG draw-order contract (one ``rng.random(m)`` call
 consumes the PCG64 stream exactly like ``m`` scalar calls) is asserted
@@ -239,34 +237,6 @@ def test_make_pipeline_env_seam(make_pipeline, monkeypatch):
 # Checkpoint forward/backward compatibility
 # ----------------------------------------------------------------------
 class TestCheckpointCompat:
-    @pytest.fixture(scope="class")
-    def v1_fixture(self):
-        with open(FIXTURES / "checkpoint_v1.json") as fh:
-            return json.load(fh)
-
-    def test_v1_checkpoint_resumes_scalar_bit_identically(self, v1_fixture):
-        """A pre-batch snapshot completes exactly as the original run."""
-        pairs, scorer = _workload()
-        store = CheckpointStore()
-        store.save([list(p.key) for p in pairs], v1_fixture["payload"])
-        result = TMerge(
-            checkpoint_store=store, **v1_fixture["config"]
-        ).run(pairs, scorer)
-        got = _merge_fingerprint(result, scorer)
-        del got["extra"]
-        assert got == v1_fixture["reference"]
-
-    def test_v1_checkpoint_refused_on_batched_path(self, v1_fixture):
-        pairs, scorer = _workload()
-        store = CheckpointStore()
-        store.save([list(p.key) for p in pairs], v1_fixture["payload"])
-        with pytest.raises(ValueError, match="scalar path"):
-            TMerge(
-                checkpoint_store=store,
-                batch_size=8,
-                **v1_fixture["config"],
-            ).run(pairs, scorer)
-
     def _captured_payload(self, *, batch_size, capture_tau, **kwargs):
         """Run once uninterrupted, spying out one mid-window snapshot."""
         pairs, scorer = _workload()
@@ -319,17 +289,28 @@ class TestCheckpointCompat:
                 k=0.2, tau_max=200, seed=4, checkpoint_interval=40,
             ).run(pairs, scorer)
 
-    def test_newer_version_refused(self):
+    @pytest.mark.parametrize(
+        "version",
+        (None, CHECKPOINT_VERSION - 1, CHECKPOINT_VERSION + 1),
+        ids=("missing", "older", "newer"),
+    )
+    def test_unsupported_version_refused(self, version):
+        config = dict(k=0.2, tau_max=200, seed=4, checkpoint_interval=40)
+        payload, _ = self._captured_payload(
+            batch_size=None, capture_tau=80, **config
+        )
+        if version is None:
+            del payload["version"]
+        else:
+            payload["version"] = version
         pairs, scorer = _workload()
         store = CheckpointStore()
-        merger = TMerge(
-            k=0.2, tau_max=200, seed=4,
-            checkpoint_interval=40, checkpoint_store=store,
-        )
-        payload = {"version": CHECKPOINT_VERSION + 1, "tau": 10}
         store.save([list(p.key) for p in pairs], payload)
-        with pytest.raises(ValueError, match="newer"):
-            merger.run(pairs, scorer)
+        with pytest.raises(ValueError) as excinfo:
+            TMerge(checkpoint_store=store, **config).run(pairs, scorer)
+        message = str(excinfo.value)
+        assert f"version {version!r} is not supported" in message
+        assert f"only version {CHECKPOINT_VERSION}" in message
 
     def test_none_and_one_share_scalar_checkpoints(self):
         """batch_size=None and =1 are the same regime: snapshots swap."""

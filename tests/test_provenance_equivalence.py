@@ -23,7 +23,11 @@ from repro.core.tmerge import TMerge
 from repro.faults import fault_profile
 from repro.provenance import DecisionLedger
 from repro.resilience import CheckpointStore
-from repro.streaming import StreamingIngestionService, SyntheticFeedSource
+from repro.streaming import (
+    CHECKPOINT_VERSION as STREAM_CHECKPOINT_VERSION,
+    StreamingIngestionService,
+    SyntheticFeedSource,
+)
 from repro.track import TracktorTracker
 
 SEEDS = (1, 5)
@@ -299,44 +303,39 @@ class TestStreamingLedger:
         assert observed.fingerprints() == plain.fingerprints()
         assert observed.counters == plain.counters
 
-    def test_v1_snapshot_refused_with_ledger(self, chaos_world):
-        """Pre-provenance snapshots cannot resume into a ledger run."""
-        source = _source(chaos_world)
-        store = CheckpointStore()
-        _service(store).run(source, stop_after_windows=2)
-        payload = store.load(["stream", "stream"])
-        payload = json.loads(json.dumps(payload))
-        payload["version"] = 1
-        payload.pop("ledger", None)
-        payload.pop("bp_active", None)
-        store.save(["stream", "stream"], payload)
-        with pytest.raises(ValueError, match="ledger"):
-            _service(store, ledger=DecisionLedger()).run(source)
-
-    def test_v1_snapshot_fine_without_ledger(self, chaos_world):
-        source = _source(chaos_world)
-        reference = _service(CheckpointStore()).run(source)
-
-        store = CheckpointStore()
-        first = _service(store).run(source, stop_after_windows=2)
-        payload = json.loads(json.dumps(store.load(["stream", "stream"])))
-        payload["version"] = 1
-        payload.pop("ledger", None)
-        payload.pop("bp_active", None)
-        store.save(["stream", "stream"], payload)
-        resumed = _service(store).run(source)
-        stitched = first.fingerprints() + resumed.fingerprints()
-        assert stitched == reference.fingerprints()
-
-    def test_future_version_refused(self, chaos_world):
+    @pytest.mark.parametrize("with_ledger", (False, True))
+    @pytest.mark.parametrize(
+        "version",
+        (None, STREAM_CHECKPOINT_VERSION - 1, STREAM_CHECKPOINT_VERSION + 1),
+        ids=("missing", "older", "newer"),
+    )
+    def test_unsupported_version_refused(
+        self, chaos_world, version, with_ledger
+    ):
         source = _source(chaos_world)
         store = CheckpointStore()
         _service(store).run(source, stop_after_windows=1)
         payload = json.loads(json.dumps(store.load(["stream", "stream"])))
-        payload["version"] = 99
+        if version is None:
+            del payload["version"]
+        else:
+            payload["version"] = version
         store.save(["stream", "stream"], payload)
-        with pytest.raises(ValueError, match="not supported"):
-            _service(store).run(source)
+        ledger = DecisionLedger() if with_ledger else None
+        with pytest.raises(ValueError) as excinfo:
+            _service(store, ledger=ledger).run(source)
+        message = str(excinfo.value)
+        assert f"version {version!r} is not supported" in message
+        assert f"only version {STREAM_CHECKPOINT_VERSION}" in message
+
+    def test_ledgerless_snapshot_refused_with_ledger(self, chaos_world):
+        """A snapshot without ledger state cannot resume into a ledger
+        run: its pre-crash decision events would be missing."""
+        source = _source(chaos_world)
+        store = CheckpointStore()
+        _service(store).run(source, stop_after_windows=1)
+        with pytest.raises(ValueError, match="ledger"):
+            _service(store, ledger=DecisionLedger()).run(source)
 
     def test_ledger_state_rides_in_checkpoint(self, chaos_world):
         source = _source(chaos_world)
