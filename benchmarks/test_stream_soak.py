@@ -3,10 +3,12 @@
 Drives the watermark-driven streaming service over a feed an order of
 magnitude longer than its resident-window bound, with arrival disorder
 and the ``flaky-reid`` fault profile active, *kills* it mid-feed and
-resumes from its checkpoint.  Asserts the robustness contract end to
-end: stitched emissions bit-identical to an uninterrupted run, peak
-resident windows within the configured bound, nothing shed under the
-lossless policy — and records recall / ReID-invocation / simulated-ms
+resumes from its checkpoint.  Every service records a decision ledger,
+so the resume reads the ledger back from the checkpoint journal.
+Asserts the robustness contract end to end: stitched emissions and the
+resumed ledger bit-identical to an uninterrupted run, peak resident
+windows within the configured bound, nothing shed under the lossless
+policy — and records recall / ReID-invocation / simulated-ms
 metrics (plus soak extras) into ``bench_summary.json`` for the gate.
 """
 
@@ -16,6 +18,7 @@ from repro.core.tmerge import TMerge
 from repro.experiments.reporting import format_table
 from repro.faults import fault_profile
 from repro.metrics.matching import match_tracks_to_gt, polyonymous_pairs
+from repro.provenance import DecisionLedger
 from repro.resilience import CheckpointStore
 from repro.streaming import StreamingIngestionService, SyntheticFeedSource
 from repro.synth.datasets import mot17_like
@@ -28,7 +31,7 @@ MAX_OPEN_WINDOWS = 8
 KILL_AFTER = 3
 
 
-def _service(store):
+def _service(store, ledger):
     return StreamingIngestionService(
         TracktorTracker(),
         TMerge(k=0.1, tau_max=300, batch_size=10, seed=3),
@@ -39,6 +42,7 @@ def _service(store):
         parallel_backend="thread",
         fault_profile=fault_profile("flaky-reid", seed=11),
         store=store,
+        ledger=ledger,
     )
 
 
@@ -51,11 +55,16 @@ def test_stream_soak_kill_resume(benchmark):
         fault_profile=fault_profile("flaky-reid", seed=11),
     )
 
+    reference_ledger = DecisionLedger()
+    resumed_ledger = DecisionLedger()
+
     def soak():
-        reference = _service(CheckpointStore()).run(source)
+        reference = _service(CheckpointStore(), reference_ledger).run(source)
         store = CheckpointStore()
-        first = _service(store).run(source, stop_after_windows=KILL_AFTER)
-        resumed = _service(store).run(source)
+        first = _service(store, DecisionLedger()).run(
+            source, stop_after_windows=KILL_AFTER
+        )
+        resumed = _service(store, resumed_ledger).run(source)
         return reference, first, resumed
 
     reference, first, resumed = benchmark.pedantic(
@@ -67,6 +76,8 @@ def test_stream_soak_kill_resume(benchmark):
     assert stitched == reference.fingerprints()
     assert resumed.counters == reference.counters
     assert resumed.cost.state_dict() == reference.cost.state_dict()
+    assert resumed_ledger.to_dicts() == reference_ledger.to_dicts()
+    assert len(reference_ledger) > 0
     n_windows = len(reference.emissions)
     assert n_windows * (WINDOW_LENGTH // 2) >= N_FRAMES  # feed covered
     assert reference.peak_open_windows <= MAX_OPEN_WINDOWS

@@ -20,8 +20,9 @@ reassembly stage folds back in window-index order via :meth:`absorb`
 :meth:`~repro.telemetry.tracing.Tracer.absorb` re-ids spans), so the
 merged log is worker-count independent.  The full ledger state
 round-trips through :meth:`state_dict` / :meth:`load_state_dict`, which
-is how it survives checkpoint/restore bit-exactly inside TMerge and
-streaming-service snapshots.
+is how it survives checkpoint/restore bit-exactly inside TMerge
+snapshots; the streaming service instead journals the events
+(:meth:`events_since`) next to a snapshot of :meth:`header`.
 """
 
 from __future__ import annotations
@@ -131,6 +132,22 @@ class DecisionLedger:
         """The retained events stamped with ``window``, oldest first."""
         return [e for e in self._events if e.window == window]
 
+    def events_since(self, seq: int) -> list[DecisionEvent]:
+        """The retained events with a sequence number of at least ``seq``,
+        oldest first.
+
+        Scans from the newest event back, so the cost is the number of
+        events returned, not the ledger's size (a checkpoint journals
+        just the events recorded since its predecessor).
+        """
+        tail = []
+        for event in reversed(self._events):
+            if event.seq < seq:
+                break
+            tail.append(event)
+        tail.reverse()
+        return tail
+
     # ------------------------------------------------------------------
     # State round-trip (checkpoints) and JSONL export
     # ------------------------------------------------------------------
@@ -138,15 +155,19 @@ class DecisionLedger:
         """Every retained event as a pure-JSON payload."""
         return [event.to_dict() for event in self._events]
 
-    def state_dict(self) -> dict:
-        """Full restorable state (for checkpoint payloads)."""
+    def header(self) -> dict:
+        """The restorable state except the events themselves (which a
+        streaming checkpoint journals separately)."""
         return {
             "max_events": self.max_events,
             "n_recorded": self.n_recorded,
             "n_dropped": self.n_dropped,
             "window": self._window,
-            "events": self.to_dicts(),
         }
+
+    def state_dict(self) -> dict:
+        """Full restorable state (for checkpoint payloads)."""
+        return {**self.header(), "events": self.to_dicts()}
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a state captured by :meth:`state_dict`.

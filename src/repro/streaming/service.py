@@ -15,8 +15,10 @@ Robustness model
   complete pure-JSON snapshot of its mutable state (source offset,
   intake queue, reorder buffer, tracker session, open-window buffers,
   watermark, simulated clock, counters) to a
-  :class:`~repro.resilience.CheckpointStore`.  A service killed at a
-  window boundary and rebuilt from the store replays the source from the
+  :class:`~repro.resilience.CheckpointStore`; the decision ledger's
+  events go to the store's append-only journal first, so a checkpoint
+  costs O(events since the last one), not O(ledger).  A service killed
+  at a window boundary and rebuilt from the store replays the source from the
   recorded offset and emits **bit-identical** results to an
   uninterrupted run — the acceptance test of this subsystem.
 * **Backpressure** — a bounded intake queue with a
@@ -80,10 +82,11 @@ from repro.telemetry import Telemetry
 from repro.track.base import Track, Tracker
 
 #: Checkpoint schema version (bump on incompatible layout changes); a
-#: resume accepts only this one.  v2 carries the decision ledger's state
-#: (``None`` when the service records no provenance) and the
-#: backpressure verdict.
-CHECKPOINT_VERSION = 2
+#: resume accepts only this one.  v3 carries the backpressure verdict and
+#: the decision ledger's header — its counters plus the length of the
+#: store journal holding its events — or ``None`` when the service
+#: records no provenance.
+CHECKPOINT_VERSION = 3
 
 
 @dataclass
@@ -207,10 +210,11 @@ class StreamingIngestionService:
             :class:`~repro.provenance.DecisionLedger`.  Per-window
             worker ledgers are absorbed in emission order (exactly like
             ``Tracer.absorb``), service-level degradation verdicts are
-            recorded as ``degrade`` events, and the ledger state rides
-            in every checkpoint so a killed-and-resumed run reconstructs
-            a bit-identical decision log.  Pure observation — emissions
-            are bit-identical with the ledger on or off.
+            recorded as ``degrade`` events, and every checkpoint
+            journals the events recorded since the previous one so a
+            killed-and-resumed run reconstructs a bit-identical decision
+            log.  Pure observation — emissions are bit-identical with
+            the ledger on or off.
         workers: fan-out for simultaneously-ready windows (≥ 1); any
             value produces bit-identical emissions.
         parallel_backend: ``"process"`` or ``"thread"``.
@@ -300,6 +304,8 @@ class StreamingIngestionService:
         #: across checkpoints so the transition counter never double
         #: counts an edge replayed after a resume.
         self._bp_active = False
+        #: Ledger events with a ``seq`` below this are already journaled.
+        self._journaled_seq = 0
 
     def _effective_resilience(self) -> ResilienceConfig | None:
         """Auto-enable resilience under a fault profile (pipeline rule)."""
@@ -324,9 +330,25 @@ class StreamingIngestionService:
     # Checkpointing
     # ------------------------------------------------------------------
     def _checkpoint(self) -> None:
-        """Write the full service snapshot (the write-ahead state)."""
+        """Write the full service snapshot (the write-ahead state).
+
+        Ledger events recorded since the previous checkpoint are appended
+        to the store's journal *before* the snapshot that counts them is
+        saved, so a crash between the two leaves only a journal tail the
+        next restore drops.  Once the snapshot is durable the journal may
+        be compacted down to the retained events.
+        """
         if self.store is None:
             return
+        key = ["stream", self.checkpoint_key]
+        ledger = None
+        if self.ledger is not None:
+            fresh = self.ledger.events_since(self._journaled_seq)
+            ledger = self.ledger.header()
+            ledger["journal"] = self.store.append(
+                key, [event.to_dict() for event in fresh]
+            )
+            self._journaled_seq = self.ledger.n_recorded
         payload = {
             "version": CHECKPOINT_VERSION,
             "position": self.position,
@@ -351,20 +373,24 @@ class StreamingIngestionService:
             "cost": self.cost.state_dict(),
             "resilience_stats": dict(self.resilience_stats),
             "bp_active": self._bp_active,
-            "ledger": (
-                self.ledger.state_dict()
-                if self.ledger is not None
-                else None
-            ),
+            "ledger": ledger,
         }
-        self.store.save(["stream", self.checkpoint_key], payload)
+        self.store.save(key, payload)
+        if self.ledger is not None:
+            self.store.compact(key, len(self.ledger))
 
     def _try_restore(self) -> bool:
-        """Rebuild state from the store, if a snapshot exists."""
+        """Rebuild state from the store, if a snapshot exists.
+
+        Without a snapshot, any journal left under the key (a crash
+        before the first save) is discarded: the run starts fresh.
+        """
         if self.store is None:
             return False
-        payload = self.store.load(["stream", self.checkpoint_key])
+        key = ["stream", self.checkpoint_key]
+        payload = self.store.load(key)
         if payload is None:
+            self.store.discard(key)
             return False
         version = payload.get("version")
         if version != CHECKPOINT_VERSION:
@@ -414,8 +440,23 @@ class StreamingIngestionService:
         }
         self._bp_active = bool(payload["bp_active"])
         if self.ledger is not None:
-            self.ledger.load_state_dict(payload["ledger"])
+            self._restore_ledger(key, payload["ledger"])
         return True
+
+    def _restore_ledger(self, key: list, header: dict) -> None:
+        """Rebuild the ledger from its snapshot header and the journal."""
+        records = self.store.journal(key, int(header["journal"]))
+        retained = int(header["n_recorded"]) - int(header["n_dropped"])
+        if len(records) < retained:
+            raise ValueError(
+                f"journal of checkpoint {key} holds {len(records)} "
+                f"records, fewer than the {retained} retained events its "
+                "snapshot expects"
+            )
+        self.ledger.load_state_dict(
+            {**header, "events": records[len(records) - retained:]}
+        )
+        self._journaled_seq = self.ledger.n_recorded
 
     # ------------------------------------------------------------------
     # The service loop

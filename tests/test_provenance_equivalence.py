@@ -9,8 +9,10 @@ On top of transparency, the ledger itself must be deterministic: the
 merged log is worker-count invariant, and a streaming service killed at
 a window boundary and resumed from its checkpoint reconstructs the
 bit-identical event log an uninterrupted run would have written.
-Checkpoint-schema compatibility rules (TMerge v3, streaming v2) are
-enforced here too.
+Checkpoint-schema compatibility rules (TMerge v3, streaming v3) are
+enforced here too, along with the streaming checkpoint's ledger journal:
+each checkpoint appends only the events recorded since the previous
+one, and a bounded ledger's journal stays bounded.
 """
 
 import json
@@ -23,6 +25,7 @@ from repro.core.tmerge import TMerge
 from repro.faults import fault_profile
 from repro.provenance import DecisionLedger
 from repro.resilience import CheckpointStore
+from repro.resilience.checkpoint import JOURNAL_COMPACT_FLOOR
 from repro.streaming import (
     CHECKPOINT_VERSION as STREAM_CHECKPOINT_VERSION,
     StreamingIngestionService,
@@ -343,9 +346,106 @@ class TestStreamingLedger:
         ledger = DecisionLedger()
         _service(store, ledger=ledger).run(source, stop_after_windows=2)
         payload = store.load(["stream", "stream"])
-        assert payload["version"] == 2
-        assert payload["ledger"] is not None
-        assert payload["ledger"]["events"] == ledger.to_dicts()
+        assert payload["version"] == STREAM_CHECKPOINT_VERSION == 3
+        header = payload["ledger"]
+        assert header == {
+            "max_events": ledger.max_events,
+            "n_recorded": ledger.n_recorded,
+            "n_dropped": ledger.n_dropped,
+            "window": ledger.current_window,
+            "journal": header["journal"],
+        }
+        records = store.journal(["stream", "stream"], header["journal"])
+        retained = header["n_recorded"] - header["n_dropped"]
+        assert retained == len(ledger) > 0
+        assert records[len(records) - retained:] == ledger.to_dicts()
+
+
+    @pytest.mark.parametrize("field", ("journal", "n_recorded"))
+    def test_short_journal_refused(self, chaos_world, field):
+        source = _source(chaos_world)
+        store = CheckpointStore()
+        _service(store, ledger=DecisionLedger()).run(
+            source, stop_after_windows=2
+        )
+        payload = store.load(["stream", "stream"])
+        payload["ledger"][field] += 5
+        store.save(["stream", "stream"], payload)
+        length = payload["ledger"]["journal"] - (field == "journal") * 5
+        with pytest.raises(ValueError) as excinfo:
+            _service(store, ledger=DecisionLedger()).run(source)
+        message = str(excinfo.value)
+        assert "stream" in message
+        assert f"holds {length} records, fewer than the " in message
+
+    def test_checkpoint_journals_only_new_events(self, chaos_world):
+        """Checkpoint i appends exactly the events recorded since
+        checkpoint i-1; the snapshot carries counters, not events."""
+        store = CheckpointStore()
+        appended, headers = [], []
+        append, save = store.append, store.save
+
+        def spy_append(key, records):
+            appended.append(list(records))
+            return append(key, records)
+
+        def spy_save(key, state):
+            headers.append(json.loads(json.dumps(state["ledger"])))
+            save(key, state)
+
+        store.append, store.save = spy_append, spy_save
+        ledger = DecisionLedger()
+        result = _service(store, ledger=ledger).run(_source(chaos_world))
+        assert len(appended) == len(headers) == len(result.emissions) >= 4
+        previous = 0
+        for records, header in zip(appended, headers):
+            assert set(header) == {
+                "max_events", "n_recorded", "n_dropped", "window", "journal"
+            }
+            assert [r["seq"] for r in records] == list(
+                range(previous, header["n_recorded"])
+            )
+            assert header["journal"] == header["n_recorded"]
+            previous = header["n_recorded"]
+        assert previous == ledger.n_recorded
+
+    def test_ledgerless_service_writes_no_journal(self, chaos_world, tmp_path):
+        store = CheckpointStore(path=str(tmp_path))
+        _service(store).run(_source(chaos_world), stop_after_windows=2)
+        assert store.load(["stream", "stream"])["ledger"] is None
+        assert [p.suffix for p in tmp_path.iterdir()] == [".json"]
+
+    def test_bounded_ledger_kill_resume(self, chaos_world, tmp_path):
+        """A capped ledger resumes with identical counters and events
+        after a crash at every window, and its on-disk journal stays
+        within the compaction bound."""
+        source = _source(chaos_world)
+        reference_ledger = DecisionLedger(max_events=50)
+        reference = _service(
+            CheckpointStore(), ledger=reference_ledger
+        ).run(source)
+        assert reference_ledger.n_dropped > 0
+
+        ckpt_dir = tmp_path / "ckpts"
+        fingerprints, bases = [], []
+        for _ in range(len(reference.emissions) + 1):
+            ledger = DecisionLedger(max_events=50)
+            result = _service(
+                CheckpointStore(path=str(ckpt_dir)), ledger=ledger
+            ).run(source, stop_after_windows=1)
+            fingerprints.extend(result.fingerprints())
+            if not result.stopped:
+                break
+            (journal,) = ckpt_dir.glob("*.jsonl")
+            lines = journal.read_text().splitlines()
+            bases.append(json.loads(lines[0])["base"])
+            assert len(lines) - 1 <= max(2 * 50, JOURNAL_COMPACT_FLOOR)
+        assert fingerprints == reference.fingerprints()
+        assert (ledger.n_recorded, ledger.n_dropped) == (
+            reference_ledger.n_recorded, reference_ledger.n_dropped
+        )
+        assert ledger.to_dicts() == reference_ledger.to_dicts()
+        assert max(bases) > 0  # the journal was compacted
 
 
 class TestTMergeCheckpointCompat:

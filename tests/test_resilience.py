@@ -11,6 +11,8 @@ The two load-bearing guarantees tested here:
   checkpoint reproduces the uninterrupted run exactly.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -476,6 +478,85 @@ class TestCheckpointStore:
         # A fresh store over the same directory recovers from disk.
         recovered = CheckpointStore(path=str(tmp_path))
         assert recovered.load("w") == {"tau": 2}
+
+    def test_save_replaces_file_atomically(self, tmp_path):
+        store = CheckpointStore(path=str(tmp_path))
+        store.save("w", {"tau": 2})
+        store.save("w", {"tau": 3})
+        assert [p.suffix for p in tmp_path.iterdir()] == [".json"]
+        assert CheckpointStore(path=str(tmp_path)).load("w") == {"tau": 3}
+
+    def test_truncated_snapshot_is_loud(self, tmp_path):
+        store = CheckpointStore(path=str(tmp_path))
+        store.save("w", {"tau": 2, "state": list(range(50))})
+        (snapshot,) = tmp_path.iterdir()
+        snapshot.write_text(snapshot.read_text()[:40])
+        with pytest.raises(ValueError, match=re.escape(str(snapshot))):
+            CheckpointStore(path=str(tmp_path)).load("w")
+
+    @pytest.mark.parametrize("on_disk", (False, True))
+    def test_journal_round_trip(self, tmp_path, on_disk):
+        path = str(tmp_path) if on_disk else None
+        store = CheckpointStore(path=path)
+        records = [{"seq": i, "x": [i, 0.5 * i]} for i in range(5)]
+        assert store.append("w", records[:3]) == 3
+        assert store.append("w", []) == 3
+        assert store.append("w", records[3:]) == 5
+        assert store.journal("w", 5) == records
+        if on_disk:
+            assert CheckpointStore(path=path).journal("w", 5) == records
+
+    @pytest.mark.parametrize("on_disk", (False, True))
+    def test_journal_drops_tail_past_length(self, tmp_path, on_disk):
+        path = str(tmp_path) if on_disk else None
+        store = CheckpointStore(path=path)
+        store.append("w", [{"seq": i} for i in range(4)])
+        assert store.journal("w", 2) == [{"seq": 0}, {"seq": 1}]
+        assert store.append("w", [{"seq": 9}]) == 3
+        reread = CheckpointStore(path=path) if on_disk else store
+        assert reread.journal("w", 3) == [{"seq": 0}, {"seq": 1}, {"seq": 9}]
+
+    def test_short_journal_is_loud(self):
+        store = CheckpointStore()
+        store.append(["stream", "k"], [{"seq": 0}])
+        with pytest.raises(ValueError, match=r'\["stream","k"\].* 1 .* 4 '):
+            store.journal(["stream", "k"], 4)
+
+    def test_garbage_journal_line_is_loud(self, tmp_path):
+        store = CheckpointStore(path=str(tmp_path))
+        store.append("w", [{"seq": i} for i in range(3)])
+        (journal,) = tmp_path.iterdir()
+        lines = journal.read_text().splitlines(keepends=True)
+        lines[2] = "{not json\n"
+        journal.write_text("".join(lines))
+        with pytest.raises(
+            ValueError, match=re.escape(str(journal)) + ".*record 1"
+        ):
+            CheckpointStore(path=str(tmp_path)).journal("w", 3)
+
+    @pytest.mark.parametrize("on_disk", (False, True))
+    def test_compaction_keeps_positions(self, tmp_path, on_disk):
+        path = str(tmp_path) if on_disk else None
+        store = CheckpointStore(path=path)
+        records = [{"seq": i} for i in range(200)]
+        store.append("w", records[:150])
+        assert not store.compact("w", 100)  # within twice the kept count
+        store.append("w", records[150:])
+        assert store.compact("w", 50)
+        assert store.journal("w", 200) == records[150:]
+        assert store.append("w", [{"seq": 200}]) == 201
+        reread = CheckpointStore(path=path) if on_disk else store
+        assert reread.journal("w", 201) == records[150:] + [{"seq": 200}]
+        with pytest.raises(ValueError, match="starts at record 150"):
+            reread.journal("w", 100)
+
+    def test_discard_drops_journal(self, tmp_path):
+        store = CheckpointStore(path=str(tmp_path))
+        store.save("w", {"tau": 1})
+        store.append("w", [{"seq": 0}])
+        store.discard("w")
+        assert list(tmp_path.iterdir()) == []
+        assert store.append("w", []) == 0
 
     def test_scorer_state_roundtrip(self):
         scorer = ReidScorer(StubReidModel(), cost=CostModel())

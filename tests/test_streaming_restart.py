@@ -6,8 +6,9 @@ SIGKILLed at a window boundary and rebuilt from its
 uninterrupted run would have — candidates, scores, degraded flags,
 simulated clock, lifetime counters, all bit-for-bit — across ReID
 seeds × fault profiles, repeated crashes, a real process-restart
-simulation (fresh store reading the disk mirror), and worker-count
-changes across the crash.  Runs inside CI's chaos matrix.
+simulation (fresh store reading the disk mirror, decision ledger and
+its journal included), and worker-count changes across the crash.  Runs
+inside CI's chaos matrix.
 """
 
 import os
@@ -16,6 +17,7 @@ import pytest
 
 from repro.core.tmerge import TMerge
 from repro.faults import fault_profile
+from repro.provenance import DecisionLedger
 from repro.resilience import CheckpointStore
 from repro.streaming import StreamingIngestionService, SyntheticFeedSource
 from repro.telemetry import Telemetry
@@ -36,7 +38,9 @@ def _source(world, profile):
     )
 
 
-def _service(store, *, seed=1, profile=None, workers=1, telemetry=None):
+def _service(
+    store, *, seed=1, profile=None, workers=1, telemetry=None, ledger=None
+):
     # CI chaos-matrix seam: REPRO_BATCH_SIZE re-runs every restart test
     # at a forced batch size (1 = scalar path, 8 = batched).
     env_batch = os.environ.get("REPRO_BATCH_SIZE")
@@ -53,6 +57,7 @@ def _service(store, *, seed=1, profile=None, workers=1, telemetry=None):
         store=store,
         batch_size=int(env_batch) if env_batch else None,
         telemetry=telemetry,
+        ledger=ledger,
     )
 
 
@@ -126,6 +131,98 @@ def test_disk_backed_process_restart(scenario_world, tmp_path):
     stitched = first.fingerprints() + resumed.fingerprints()
     assert stitched == reference.fingerprints()
     assert _final_digest(resumed) == _final_digest(reference)
+
+
+def test_disk_backed_restart_with_ledger(scenario_world, tmp_path):
+    """A new process resumes the decision ledger from the disk journal."""
+    profile = _profile("flaky-reid")
+    source = _source(scenario_world, profile)
+    reference_ledger = DecisionLedger()
+    reference = _service(
+        CheckpointStore(), profile=profile, ledger=reference_ledger
+    ).run(source)
+
+    ckpt_dir = str(tmp_path / "ckpts")
+    first = _service(
+        CheckpointStore(path=ckpt_dir), profile=profile,
+        ledger=DecisionLedger(),
+    ).run(source, stop_after_windows=2)
+    assert sorted(p.suffix for p in (tmp_path / "ckpts").iterdir()) == [
+        ".json", ".jsonl"
+    ]
+    resumed_ledger = DecisionLedger()
+    resumed = _service(
+        CheckpointStore(path=ckpt_dir), profile=profile,
+        ledger=resumed_ledger,
+    ).run(source)
+    stitched = first.fingerprints() + resumed.fingerprints()
+    assert stitched == reference.fingerprints()
+    assert _final_digest(resumed) == _final_digest(reference)
+    assert resumed_ledger.to_dicts() == reference_ledger.to_dicts()
+    assert list((tmp_path / "ckpts").iterdir()) == []  # feed done
+
+
+def test_torn_journal_tail_is_dropped(scenario_world, tmp_path):
+    """Records appended after the last save (a crash between a journal
+    append and its snapshot) are dropped on resume, bit-identically."""
+    source = _source(scenario_world, None)
+    reference_ledger = DecisionLedger()
+    reference = _service(CheckpointStore(), ledger=reference_ledger).run(
+        source
+    )
+
+    ckpt_dir = tmp_path / "ckpts"
+    key = ["stream", "stream"]
+    first = _service(
+        CheckpointStore(path=str(ckpt_dir)), ledger=DecisionLedger()
+    ).run(source, stop_after_windows=2)
+    crashed = CheckpointStore(path=str(ckpt_dir))
+    crashed.append(key, [{"seq": -1, "kind": "window", "window": 99}])
+    (journal,) = ckpt_dir.glob("*.jsonl")
+    with open(journal, "a", encoding="utf-8") as fh:
+        fh.write('{"seq": -2, "kind": "sam')  # cut off mid-append
+
+    second = _service(
+        CheckpointStore(path=str(ckpt_dir)), ledger=DecisionLedger()
+    ).run(source, stop_after_windows=1)
+    store = CheckpointStore(path=str(ckpt_dir))
+    header = store.load(key)["ledger"]
+    records = store.journal(key, header["journal"])
+    assert all(record["seq"] >= 0 for record in records)
+    assert len(journal.read_text().splitlines()) == 1 + header["journal"]
+
+    resumed_ledger = DecisionLedger()
+    resumed = _service(store, ledger=resumed_ledger).run(source)
+    stitched = (
+        first.fingerprints() + second.fingerprints() + resumed.fingerprints()
+    )
+    assert stitched == reference.fingerprints()
+    assert resumed_ledger.to_dicts() == reference_ledger.to_dicts()
+
+
+def test_fresh_start_discards_stale_journal(scenario_world, tmp_path):
+    """A journal with no snapshot beside it — a crash cut off the first
+    append before the first save — is discarded: the run starts fresh."""
+    source = _source(scenario_world, None)
+    reference_ledger = DecisionLedger()
+    _service(CheckpointStore(), ledger=reference_ledger).run(source)
+
+    ckpt_dir = tmp_path / "ckpts"
+    CheckpointStore(path=str(ckpt_dir)).append(
+        ["stream", "stream"], [{"seq": 0, "kind": "final"}] * 5
+    )
+    (journal,) = ckpt_dir.glob("*.jsonl")
+    with open(journal, "a", encoding="utf-8") as fh:
+        fh.write('{"seq": 5, "ki')
+    first = _service(
+        CheckpointStore(path=str(ckpt_dir)), ledger=DecisionLedger()
+    ).run(source, stop_after_windows=2)
+    assert first.stopped and first.emissions[0].index == 0
+    resumed_ledger = DecisionLedger()
+    _service(
+        CheckpointStore(path=str(ckpt_dir)), ledger=resumed_ledger
+    ).run(source)
+    assert resumed_ledger.to_dicts() == reference_ledger.to_dicts()
 
 
 def test_worker_count_change_across_crash(scenario_world):
