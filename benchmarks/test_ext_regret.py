@@ -8,7 +8,7 @@ regret at several iteration budgets and checks it (a) decreases with τ and
 
 from conftest import publish
 
-from repro.bandit.regret import RegretTracker
+from repro.core.regret import RegretTracker
 from repro.core.scores import exact_normalized_score
 from repro.core.tmerge import TMerge
 from repro.experiments.reporting import format_table

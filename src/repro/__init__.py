@@ -4,9 +4,9 @@ Processing* (Chao, Chen, Koudas, Yu — ICDE 2023).
 The package implements the paper's TMerge algorithm together with every
 substrate it depends on: a synthetic video world, a stochastic detector,
 six multi-object trackers, a simulated ReID model with a batched cost
-model, a bandit library, MOT evaluation metrics, and a small video query
-engine.  See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-per-figure reproduction results.
+model, MOT evaluation metrics, and a small video query engine.  See
+DESIGN.md for the system inventory and EXPERIMENTS.md for the per-figure
+reproduction results.
 
 Quickstart::
 
@@ -65,7 +65,6 @@ from repro.core import (
     BaselineMerger,
     ProportionalMerger,
     LcbMerger,
-    EpsilonGreedyMerger,
     TMerge,
     merge_tracks,
     UnionFind,
@@ -152,7 +151,6 @@ __all__ = [
     "BaselineMerger",
     "ProportionalMerger",
     "LcbMerger",
-    "EpsilonGreedyMerger",
     "TMerge",
     "merge_tracks",
     "UnionFind",

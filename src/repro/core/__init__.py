@@ -13,6 +13,7 @@ Layout mirrors the paper:
 * :mod:`repro.core.beta_init` — Algorithm 3 (BetaInit).
 * :mod:`repro.core.ulb` — Algorithm 4 (ULB pruning).
 * :mod:`repro.core.tmerge` — Algorithm 2 (TMerge / TMerge-B).
+* :mod:`repro.core.regret` — §IV-E average-regret accounting.
 * :mod:`repro.core.merge` — applying identified pairs: union-find relabel.
 * :mod:`repro.core.pipeline` — end-to-end ingestion.
 """
@@ -27,7 +28,6 @@ from repro.core.lcb import LcbMerger
 from repro.core.beta_init import beta_init
 from repro.core.ulb import UlbPruner
 from repro.core.tmerge import TMerge
-from repro.core.epsilon import EpsilonGreedyMerger
 from repro.core.merge import merge_tracks, UnionFind
 from repro.core.pipeline import (
     IngestionPipeline,
@@ -52,7 +52,6 @@ __all__ = [
     "beta_init",
     "UlbPruner",
     "TMerge",
-    "EpsilonGreedyMerger",
     "merge_tracks",
     "UnionFind",
     "IngestionPipeline",

@@ -30,9 +30,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro import contracts
-from repro.bandit.regret import RegretTracker
 from repro.core.beta_init import beta_init
 from repro.core.pairs import TrackPair
+from repro.core.regret import RegretTracker
 from repro.core.results import MergeResult, top_k_count
 from repro.core.ulb import UlbPruner
 from repro.provenance import (
@@ -53,35 +53,15 @@ from repro.resilience import (
 )
 from repro.telemetry import Telemetry, profiled
 
-_POSTERIORS = ("beta", "gaussian")
-
 #: Checkpoint payload schema version; a resume accepts only this one.
-#: v3 records the effective batch size, so a resume with a mismatched
-#: ``batch_size`` fails loudly instead of silently diverging from the
-#: interrupted run, and the decision ledger's state (``"ledger"``,
-#: ``None`` when the run records no provenance), so a kill+resume
-#: reconstructs the decision log bit-exactly (see
-#: :meth:`TMerge._check_checkpoint_compat`).
-CHECKPOINT_VERSION = 3
-
-#: Gaussian-posterior prior variance.  0.25 is the largest variance any
-#: [0, 1]-supported distribution can have (a fair coin's), so the prior is
-#: maximally non-committal about d̃ while staying on the unit interval.
-GAUSS_PRIOR_VAR = 0.25
-
-#: Gaussian observation-noise variance.  Matches the empirical spread of
-#: normalized ReID distances around their per-pair mean (std ≈ 0.22 on the
-#: simulated model), so posterior contraction tracks real information gain.
-GAUSS_OBS_VAR = 0.05
-
-#: Prior mean for spatially-close pairs.  Mirrors BetaInit's ``Be(1, 2)``
-#: prior (mean 1/3): pairs whose ``DisS < thr_S`` start biased toward
-#: "looks similar", exactly as in the Beta parameterization (§IV-C).
-GAUSS_PRIOR_MEAN_CLOSE = 1.0 / 3.0
-
-#: Prior mean for all other pairs.  Mirrors the uniform ``Be(1, 1)`` prior
-#: (mean 1/2) used when BetaInit gives no spatial signal.
-GAUSS_PRIOR_MEAN_DEFAULT = 0.5
+#: The payload records the effective batch size, so a resume with a
+#: mismatched ``batch_size`` fails loudly instead of silently diverging
+#: from the interrupted run, and the decision ledger's state
+#: (``"ledger"``, ``None`` when the run records no provenance), so a
+#: kill+resume reconstructs the decision log bit-exactly (see
+#: :meth:`TMerge._check_checkpoint_compat`).  v4 carries the Beta
+#: posterior only.
+CHECKPOINT_VERSION = 4
 
 
 class TMerge:
@@ -94,8 +74,6 @@ class TMerge:
             BetaInit (ablation).
         use_ulb: enable ULB pruning (ablation switch).
         batch_size: when set, run as TMerge-B with this batch size 𝓑.
-        posterior: ``"beta"`` (the paper) or ``"gaussian"`` (continuous-
-            observation extension; skips the Bernoulli quantization).
         seed: RNG seed for Thompson draws, BBox sampling and Bernoulli
             trials.
         ulb_interval: run the ULB pass every this many iterations (the
@@ -126,9 +104,9 @@ class TMerge:
             (DESIGN.md §14).  Like telemetry it is pure observation —
             recording never consumes the RNG stream or touches the
             simulated clock, so ledger-enabled runs are bit-identical
-            to plain ones.  The ledger state rides inside checkpoints
-            (schema v3), so a killed-and-resumed window reconstructs
-            its decision log bit-exactly.
+            to plain ones.  The ledger state rides inside checkpoints,
+            so a killed-and-resumed window reconstructs its decision log
+            bit-exactly.
     """
 
     def __init__(
@@ -138,7 +116,6 @@ class TMerge:
         thr_s: float | None = 200.0,
         use_ulb: bool = True,
         batch_size: int | None = None,
-        posterior: str = "beta",
         seed: int = 0,
         ulb_interval: int = 25,
         ulb_scale: float = 1.0,
@@ -154,8 +131,6 @@ class TMerge:
             raise ValueError("tau_max must be >= 1")
         if batch_size is not None and batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if posterior not in _POSTERIORS:
-            raise ValueError(f"posterior must be one of {_POSTERIORS}")
         if ulb_interval < 1:
             raise ValueError("ulb_interval must be >= 1")
         if ulb_scale <= 0:
@@ -169,7 +144,6 @@ class TMerge:
         self.thr_s = thr_s
         self.use_ulb = use_ulb
         self.batch_size = batch_size
-        self.posterior = posterior
         self.seed = seed
         self.ulb_interval = ulb_interval
         self.ulb_scale = ulb_scale
@@ -181,13 +155,10 @@ class TMerge:
 
     @property
     def name(self) -> str:
-        """Display name (``TMerge``, ``TMerge-G``, with ``-B<size>``)."""
-        base = "TMerge"
-        if self.posterior == "gaussian":
-            base = "TMerge-G"
+        """Display name (``TMerge``, or ``TMerge-B<size>`` when batched)."""
         if self.batch_size is None:
-            return base
-        return f"{base}-B{self.batch_size}"
+            return "TMerge"
+        return f"TMerge-B{self.batch_size}"
 
     @property
     def _effective_batch(self) -> int | None:
@@ -245,12 +216,6 @@ class TMerge:
             contracts.check_beta_params(
                 successes, failures, where="TMerge.beta_init"
             )
-        # Gaussian-posterior state (only used when posterior == "gaussian").
-        gauss_mean = np.where(
-            failures > 1.0, GAUSS_PRIOR_MEAN_CLOSE, GAUSS_PRIOR_MEAN_DEFAULT
-        )
-        gauss_var = np.full(n, GAUSS_PRIOR_VAR)
-        obs_var = GAUSS_OBS_VAR
 
         sums = np.zeros(n)
         counts = np.zeros(n, dtype=np.int64)
@@ -280,21 +245,14 @@ class TMerge:
                 n_pairs=n,
                 budget=budget,
                 batch=self._effective_batch,
-                posterior=self.posterior,
                 seed=self.seed,
             )
 
         def posterior_rows(arms: np.ndarray) -> list[list[float]]:
-            # Snapshot of the recorded arms' posterior state ([alpha,
-            # beta] or [mean, var]); reads current bindings, so it sees
-            # restored state after a resume.
-            if self.posterior == "beta":
-                return [
-                    [float(successes[int(a)]), float(failures[int(a)])]
-                    for a in arms
-                ]
+            # Snapshot of the recorded arms' [alpha, beta]; reads current
+            # bindings, so it sees restored state after a resume.
             return [
-                [float(gauss_mean[int(a)]), float(gauss_var[int(a)])]
+                [float(successes[int(a)]), float(failures[int(a)])]
                 for a in arms
             ]
 
@@ -309,8 +267,6 @@ class TMerge:
                 start_seconds = float(saved["start_seconds"])
                 successes = np.asarray(saved["successes"], dtype=np.float64)
                 failures = np.asarray(saved["failures"], dtype=np.float64)
-                gauss_mean = np.asarray(saved["gauss_mean"], dtype=np.float64)
-                gauss_var = np.asarray(saved["gauss_var"], dtype=np.float64)
                 sums = np.asarray(saved["sums"], dtype=np.float64)
                 counts = np.asarray(saved["counts"], dtype=np.int64)
                 eligible = np.asarray(saved["eligible"], dtype=bool)
@@ -331,8 +287,7 @@ class TMerge:
                     window_key,
                     self._checkpoint_payload(
                         0, 0, start_seconds, pairs, successes, failures,
-                        gauss_mean, gauss_var, sums, counts, eligible,
-                        pruner, regret, rng, scorer,
+                        sums, counts, eligible, pruner, regret, rng, scorer,
                     ),
                 )
 
@@ -343,7 +298,7 @@ class TMerge:
                 break
 
             selected, theta_sel = self._select_arms(
-                live, successes, failures, gauss_mean, gauss_var, rng
+                live, successes, failures, rng
             )
             if telemetry is not None:
                 # One posterior draw per live arm per iteration, batched
@@ -380,17 +335,9 @@ class TMerge:
                     regret.record_many(d_norms)
                 sums[owners] += d_norms
                 counts[owners] += 1
-                if self.posterior == "beta":
-                    hits = rng.random(owners.size) < d_norms
-                    successes[owners[hits]] += 1.0
-                    failures[owners[~hits]] += 1.0
-                else:
-                    precision = 1.0 / gauss_var[owners]
-                    new_precision = precision + 1.0 / obs_var
-                    gauss_mean[owners] = (
-                        precision * gauss_mean[owners] + d_norms / obs_var
-                    ) / new_precision
-                    gauss_var[owners] = 1.0 / new_precision
+                hits = rng.random(owners.size) < d_norms
+                successes[owners[hits]] += 1.0
+                failures[owners[~hits]] += 1.0
                 exhausted = np.fromiter(
                     (pairs[int(arm)].exhausted for arm in owners),
                     dtype=bool,
@@ -433,8 +380,8 @@ class TMerge:
                     window_key,
                     self._checkpoint_payload(
                         tau, iterations, start_seconds, pairs, successes,
-                        failures, gauss_mean, gauss_var, sums, counts,
-                        eligible, pruner, regret, rng, scorer,
+                        failures, sums, counts, eligible, pruner, regret,
+                        rng, scorer,
                     ),
                 )
 
@@ -445,7 +392,6 @@ class TMerge:
             pairs,
             successes,
             failures,
-            gauss_mean,
             pruner,
             budget,
             scorer.cost.seconds - start_seconds,
@@ -462,8 +408,6 @@ class TMerge:
         pairs: list[TrackPair],
         successes: np.ndarray,
         failures: np.ndarray,
-        gauss_mean: np.ndarray,
-        gauss_var: np.ndarray,
         sums: np.ndarray,
         counts: np.ndarray,
         eligible: np.ndarray,
@@ -481,8 +425,6 @@ class TMerge:
             "start_seconds": float(start_seconds),
             "successes": [float(x) for x in successes],
             "failures": [float(x) for x in failures],
-            "gauss_mean": [float(x) for x in gauss_mean],
-            "gauss_var": [float(x) for x in gauss_var],
             "sums": [float(x) for x in sums],
             "counts": [int(x) for x in counts],
             "eligible": [bool(x) for x in eligible],
@@ -538,25 +480,18 @@ class TMerge:
         live: np.ndarray,
         successes: np.ndarray,
         failures: np.ndarray,
-        gauss_mean: np.ndarray,
-        gauss_var: np.ndarray,
         rng: np.random.Generator,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Thompson-sample all live arms; return the chosen arms + draws.
 
-        One vectorized posterior draw covers every live arm.  The scalar
+        One vectorized Beta draw covers every live arm.  The scalar
         path takes the arg-min; the batched path takes the B smallest θ
         via argpartition (O(n) instead of a full sort), ordered by θ.
         Returns ``(arm_indices, theta_values)`` as parallel arrays — the
         θ values are a pure read-out of draws already made (the ledger
         records them without consuming any extra RNG).
         """
-        if self.posterior == "beta":
-            theta = rng.beta(successes[live], failures[live])
-        else:
-            theta = rng.normal(
-                gauss_mean[live], np.sqrt(gauss_var[live])
-            )
+        theta = rng.beta(successes[live], failures[live])
         batch = self._effective_batch
         if batch is None:
             best = int(np.argmin(theta))
@@ -622,7 +557,6 @@ class TMerge:
         pairs: list[TrackPair],
         successes: np.ndarray,
         failures: np.ndarray,
-        gauss_mean: np.ndarray,
         pruner: UlbPruner | None,
         budget: int,
         elapsed: float,
@@ -637,10 +571,7 @@ class TMerge:
         observations this reduces exactly to the spatial-prior-only
         ranking, the documented degradation floor.
         """
-        if self.posterior == "beta":
-            posterior_means = successes / (successes + failures)
-        else:
-            posterior_means = gauss_mean
+        posterior_means = successes / (successes + failures)
         scores = {
             pair.key: float(posterior_means[i])
             for i, pair in enumerate(pairs)

@@ -12,12 +12,36 @@ being sampled.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro import contracts
-from repro.bandit.confidence import hoeffding_radii
 from repro.provenance import EVENT_ULB, DecisionLedger
 from repro.telemetry import Telemetry
+
+
+def hoeffding_radii(total_rounds: int, pulls: np.ndarray) -> np.ndarray:
+    """The paper's ``U_{i,j} = sqrt(2 log τ / n_{i,j})`` per arm.
+
+    Args:
+        total_rounds: the current iteration count τ (≥ 1).
+        pulls: per-arm sample counts (non-negative).
+
+    Returns:
+        A float64 array of two-sided confidence radii, ``inf`` where
+        ``pulls == 0`` so unpulled arms are never prematurely pruned.
+    """
+    if total_rounds < 1:
+        raise ValueError("total_rounds must be >= 1")
+    pulls = np.asarray(pulls)
+    if np.any(pulls < 0):
+        raise ValueError("pulls must be non-negative")
+    log_term = math.log(total_rounds) if total_rounds > 1 else 0.0
+    # np.maximum guards the 0/0 → nan case (τ=1 with unpulled arms);
+    # the np.where then restores inf for every unpulled arm.
+    radii = np.sqrt(2.0 * log_term / np.maximum(pulls, 1))
+    return np.where(pulls > 0, radii, np.inf)
 
 
 class UlbPruner:
@@ -31,7 +55,7 @@ class UlbPruner:
             [0, 1] range; it is extremely conservative when the normalized
             distances concentrate in a sub-range (their empirical std is
             ≈ 0.15 here), to the point of never pruning at realistic pull
-            counts.  Values < 1 correspond to a sub-gaussian radius with
+            counts.  Values < 1 correspond to a sub-Gaussian radius with
             σ = radius_scale (an empirical-Bernstein-style tightening) and
             make the mechanism observable; the Figure 8 ablation uses this.
         telemetry: optional injected :class:`~repro.telemetry.Telemetry`

@@ -5,7 +5,7 @@ Usage::
     python -m repro.experiments fig3              # REC-K curves
     python -m repro.experiments fig11 --videos 3  # polyonymous rates
     python -m repro.experiments faults            # chaos matrix
-    python -m repro.experiments telemetry --synthetic   # per-window metrics
+    python -m repro.experiments telemetry         # per-window metrics
     python -m repro.experiments telemetry --workers 4   # sharded ingestion
     python -m repro.experiments parallel --workers 4    # speedup report
     python -m repro.experiments serve --frames 600      # streaming service
@@ -19,13 +19,14 @@ Usage::
     python -m repro.experiments scenarios --smoke # regime-sweep matrix
     python -m repro.experiments scenarios --smoke --gate \\
         --matrix-out /tmp/matrix.json             # CI scenario gate
-    python -m repro.experiments list              # show available figures
+    python -m repro.experiments list              # show available commands
 
 Each figure runs at the same laptop scale as the benchmark suite and
 prints the reproduced rows.  ``telemetry`` runs one fully-instrumented
 ingestion and dumps the per-window counters, spans and hotspots;
 ``gate`` compares a ``bench_summary.json`` against the committed
-baseline and exits non-zero on a regression (the CI bench gate).
+baseline and exits non-zero on a regression (the CI bench gate).  Every
+subcommand accepts only the options it reads (``<command> --help``).
 """
 
 from __future__ import annotations
@@ -33,7 +34,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable
 
 from repro.experiments import figures
 from repro.experiments.ascii_plot import rec_fps_plot
@@ -59,164 +62,234 @@ def _mot17(n_videos: int):
                            n_frames=700)
 
 
-def run_fig3(args) -> str:
-    """Render the Figure 3 (REC@K) table."""
-    curves = figures.fig3_rec_k(_datasets(args.videos))
-    rows = [
-        [dataset, k, rec]
-        for dataset, points in curves.items()
-        for k, rec in points
-    ]
-    return format_table(["dataset", "K", "REC"], rows, "Figure 3 — REC-K")
+# ----------------------------------------------------------------------
+# Paper figures: one registry entry each
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Figure:
+    """One paper figure: the ``figures.*`` call and how to print it.
 
+    The row shape is set by two flags.  With neither, the call returns
+    plain table rows.  ``curves`` means it returns labelled curves,
+    ``{label: [MethodPoint, ...]}``, one row per point.  ``by_dataset``
+    means it returns one of those per dataset, ``{dataset: ...}``, and
+    every row is led by the dataset name.
 
-def run_fig4(args) -> str:
-    """Render the Figure 4 (runtime scaling) table."""
-    rows = figures.fig4_runtime_scaling()
-    return format_table(
-        ["frames", "pairs", "BL seconds"],
-        [list(r) for r in rows],
-        "Figure 4 — BL scaling",
-    )
-
-
-def run_fig5(args) -> str:
-    """Render the Figure 5 (REC vs FPS) table."""
-    results = figures.fig5_rec_fps(_datasets(args.videos))
-    rows = [
-        [dataset, method, p.parameter, p.rec, p.fps]
-        for dataset, methods in results.items()
-        for method, points in methods.items()
-        for p in points
-    ]
-    table = format_table(
-        ["dataset", "method", "param", "REC", "FPS"], rows,
-        "Figure 5 — REC-FPS",
-    )
-    plots = "\n\n".join(
-        rec_fps_plot(methods, title=f"Figure 5 — {dataset}")
-        for dataset, methods in results.items()
-    )
-    return f"{table}\n\n{plots}"
-
-
-def run_fig6(args) -> str:
-    """Render the Figure 6 (batched variants) table."""
-    results = figures.fig6_batched(_mot17(args.videos))
-    rows = [
-        [method, p.parameter, p.rec, p.fps]
-        for method, points in results.items()
-        for p in points
-    ]
-    table = format_table(
-        ["method", "param", "REC", "FPS"], rows, "Figure 6 — batched"
-    )
-    plot = rec_fps_plot(results, title="Figure 6 — batched (MOT-17-like)")
-    return f"{table}\n\n{plot}"
-
-
-def run_fig7(args) -> str:
-    """Render the Figure 7 (tau_max sweep) table."""
-    rows = figures.fig7_tau_sweep(_mot17(args.videos))
-    return format_table(
-        ["tau_max", "seconds", "REC"],
-        [list(r) for r in rows],
-        "Figure 7 — TMerge-B vs tau_max",
-    )
-
-
-def run_fig8(args) -> str:
-    """Render the Figure 8 (ablation) table."""
-    results = figures.fig8_ablation(_mot17(args.videos))
-    rows = [
-        [variant, p.parameter, p.rec, p.fps]
-        for variant, points in results.items()
-        for p in points
-    ]
-    return format_table(
-        ["variant", "tau_max", "REC", "FPS"], rows, "Figure 8 — ablation"
-    )
-
-
-def run_fig9(args) -> str:
-    """Render the Figure 9 (window length) table."""
-    rows = figures.fig9_window_length(n_videos=args.videos, n_frames=1600)
-    return format_table(
-        ["L", "REC (BL)", "REC (TMerge)"],
-        [list(r) for r in rows],
-        "Figure 9 — window length",
-    )
-
-
-def run_fig10(args) -> str:
-    """Render the Figure 10 (thr_S sweep) table."""
-    results = figures.fig10_thr_s(_mot17(args.videos))
-    rows = [
-        [label, p.parameter, p.rec, p.fps]
-        for label, points in results.items()
-        for p in points
-    ]
-    return format_table(
-        ["thr_S", "tau_max", "REC", "FPS"], rows, "Figure 10 — thr_S"
-    )
-
-
-def run_fig11(args) -> str:
-    """Render the Figure 11 (polyonymous rate) table."""
-    rows = figures.fig11_polyonymous_rate(n_videos=args.videos)
-    return format_table(
-        ["tracker", "rate w/o", "rate w/"],
-        [list(r) for r in rows],
-        "Figure 11 — polyonymous rates",
-    )
-
-
-def run_fig12(args) -> str:
-    """Render the Figure 12 (identity metrics) table."""
-    rows = figures.fig12_identity_metrics(n_videos=args.videos)
-    return format_table(
-        ["metric", "w/o TMerge", "w/ TMerge"],
-        [list(r) for r in rows],
-        "Figure 12 — identity metrics",
-    )
-
-
-def run_fig13(args) -> str:
-    """Render the Figure 13 (query recall) table."""
-    rows = figures.fig13_query_recall(n_videos=args.videos)
-    return format_table(
-        ["query", "w/o TMerge", "w/ TMerge"],
-        [list(r) for r in rows],
-        "Figure 13 — query recall",
-    )
-
-
-def run_telemetry(args) -> str:
-    """Run one instrumented ingestion; render the observability report.
-
-    Everything in this repo is synthetic, so ``--synthetic`` is accepted
-    for explicitness (and CI scripts) but is also the only mode.
+    Attributes:
+        compute: the ``figures.*`` call, given the parsed arguments.
+        headers: table column headers.
+        title: table title.
+        by_dataset: the result is keyed by dataset.
+        curves: the result holds labelled REC–FPS curves.
+        plot: when set, also draw the REC–FPS plot under this title
+            (one per dataset, suffixed with its name, when
+            ``by_dataset``).
+        videos: the figure reads ``--videos``.
     """
-    from repro.core.pipeline import IngestionPipeline
+
+    compute: Callable[[argparse.Namespace], Any]
+    headers: tuple[str, ...]
+    title: str
+    by_dataset: bool = False
+    curves: bool = False
+    plot: str | None = None
+    videos: bool = True
+
+    def render(self, args: argparse.Namespace) -> str:
+        """Compute the figure and format its table (and plots)."""
+        result = self.compute(args)
+        groups = result if self.by_dataset else {None: result}
+        rows = [
+            ([name] if self.by_dataset else []) + row
+            for name, value in groups.items()
+            for row in self._rows(value)
+        ]
+        parts = [format_table(list(self.headers), rows, self.title)]
+        if self.plot is not None:
+            parts.extend(
+                rec_fps_plot(
+                    value,
+                    title=f"{self.plot} — {name}" if name else self.plot,
+                )
+                for name, value in groups.items()
+            )
+        return "\n\n".join(parts)
+
+    def _rows(self, value: Any) -> list[list]:
+        if not self.curves:
+            return [list(row) for row in value]
+        return [
+            [label, p.parameter, p.rec, p.fps]
+            for label, points in value.items()
+            for p in points
+        ]
+
+
+FIGURES = {
+    "fig3": Figure(
+        lambda args: figures.fig3_rec_k(_datasets(args.videos)),
+        ("dataset", "K", "REC"),
+        "Figure 3 — REC-K",
+        by_dataset=True,
+    ),
+    "fig4": Figure(
+        lambda args: figures.fig4_runtime_scaling(),
+        ("frames", "pairs", "BL seconds"),
+        "Figure 4 — BL scaling",
+        videos=False,
+    ),
+    "fig5": Figure(
+        lambda args: figures.fig5_rec_fps(_datasets(args.videos)),
+        ("dataset", "method", "param", "REC", "FPS"),
+        "Figure 5 — REC-FPS",
+        by_dataset=True,
+        curves=True,
+        plot="Figure 5",
+    ),
+    "fig6": Figure(
+        lambda args: figures.fig6_batched(_mot17(args.videos)),
+        ("method", "param", "REC", "FPS"),
+        "Figure 6 — batched",
+        curves=True,
+        plot="Figure 6 — batched (MOT-17-like)",
+    ),
+    "fig7": Figure(
+        lambda args: figures.fig7_tau_sweep(_mot17(args.videos)),
+        ("tau_max", "seconds", "REC"),
+        "Figure 7 — TMerge-B vs tau_max",
+    ),
+    "fig8": Figure(
+        lambda args: figures.fig8_ablation(_mot17(args.videos)),
+        ("variant", "tau_max", "REC", "FPS"),
+        "Figure 8 — ablation",
+        curves=True,
+    ),
+    "fig9": Figure(
+        lambda args: figures.fig9_window_length(
+            n_videos=args.videos, n_frames=1600
+        ),
+        ("L", "REC (BL)", "REC (TMerge)"),
+        "Figure 9 — window length",
+    ),
+    "fig10": Figure(
+        lambda args: figures.fig10_thr_s(_mot17(args.videos)),
+        ("thr_S", "tau_max", "REC", "FPS"),
+        "Figure 10 — thr_S",
+        curves=True,
+    ),
+    "fig11": Figure(
+        lambda args: figures.fig11_polyonymous_rate(n_videos=args.videos),
+        ("tracker", "rate w/o", "rate w/"),
+        "Figure 11 — polyonymous rates",
+    ),
+    "fig12": Figure(
+        lambda args: figures.fig12_identity_metrics(n_videos=args.videos),
+        ("metric", "w/o TMerge", "w/ TMerge"),
+        "Figure 12 — identity metrics",
+    ),
+    "fig13": Figure(
+        lambda args: figures.fig13_query_recall(n_videos=args.videos),
+        ("query", "w/o TMerge", "w/ TMerge"),
+        "Figure 13 — query recall",
+    ),
+}
+
+
+# ----------------------------------------------------------------------
+# Operational subcommands
+# ----------------------------------------------------------------------
+def _merger():
+    """The batched TMerge every ingestion demo runs."""
     from repro.core.tmerge import TMerge
+
+    return TMerge(k=0.05, tau_max=400, batch_size=10, seed=3)
+
+
+def _world(args: argparse.Namespace):
+    """The synthetic MOT-17-like video the ingestion demos run on."""
     from repro.synth.datasets import preset_by_name
     from repro.synth.world import simulate_world
-    from repro.telemetry import Telemetry
-    from repro.track.tracktor import TracktorTracker
 
-    world = simulate_world(
+    return simulate_world(
         preset_by_name("mot17").config, args.frames, seed=0
     )
-    telemetry = Telemetry()
-    pipeline = IngestionPipeline(
+
+
+def _pipeline(args: argparse.Namespace, workers: int | None, **kwargs):
+    """An ingestion pipeline over the demo merger."""
+    from repro.core.pipeline import IngestionPipeline
+    from repro.track.tracktor import TracktorTracker
+
+    return IngestionPipeline(
         tracker=TracktorTracker(),
-        merger=TMerge(k=0.05, tau_max=400, batch_size=10, seed=3),
+        merger=_merger(),
         window_length=args.window_length,
-        telemetry=telemetry,
-        workers=args.workers,
+        workers=workers,
         parallel_backend=args.parallel_backend,
+        **kwargs,
     )
-    result = pipeline.run(world)
+
+
+def _streaming_session(args: argparse.Namespace):
+    """The feed ``serve`` and ``monitor`` drive, plus a service factory.
+
+    Returns ``(source, make_service)``; ``make_service(store,
+    telemetry=None, ledger=None)`` builds a fresh service over the same
+    fault profile and backpressure policy.
+    """
+    from repro.faults import fault_profile
+    from repro.streaming import (
+        BackpressurePolicy,
+        StreamingIngestionService,
+        SyntheticFeedSource,
+    )
+    from repro.track.tracktor import TracktorTracker
+
+    world = _world(args)
+    profile = (
+        fault_profile(args.profile, seed=args.fault_seed)
+        if args.profile
+        else None
+    )
+    source = SyntheticFeedSource(
+        world,
+        disorder_ms=args.disorder_ms,
+        disorder_seed=3,
+        fault_profile=profile,
+    )
+    policy = BackpressurePolicy(
+        mode=args.policy,
+        capacity=args.queue_capacity,
+        latency_slo_ms=args.latency_slo,
+    )
+
+    def make_service(store, telemetry=None, ledger=None):
+        return StreamingIngestionService(
+            TracktorTracker(),
+            _merger(),
+            window_length=args.window_length,
+            allowed_lateness=args.lateness,
+            max_open_windows=args.max_open_windows,
+            policy=policy,
+            workers=args.workers or 1,
+            parallel_backend=args.parallel_backend,
+            fault_profile=profile,
+            store=store,
+            telemetry=telemetry,
+            ledger=ledger,
+        )
+
+    return source, make_service
+
+
+def run_telemetry(args: argparse.Namespace) -> int:
+    """Run one instrumented ingestion; print the observability report."""
+    from repro.telemetry import Telemetry
+
+    telemetry = Telemetry()
+    result = _pipeline(args, args.workers, telemetry=telemetry).run(
+        _world(args)
+    )
 
     rows = []
     for c, metrics in enumerate(result.window_metrics):
@@ -250,10 +323,11 @@ def run_telemetry(args) -> str:
         f"spans recorded: {len(spans)} "
         f"(export with Tracer.export_jsonl; schema in DESIGN.md §8)"
     )
-    return "\n\n".join([table, telemetry.report(), footer])
+    print("\n\n".join([table, telemetry.report(), footer]))
+    return 0
 
 
-def run_parallel(args) -> str:
+def run_parallel(args: argparse.Namespace) -> int:
     """Time the window-sharded engine against its serial execution.
 
     Runs the same instrumented ingestion once with ``workers=1`` and
@@ -264,25 +338,11 @@ def run_parallel(args) -> str:
     """
     import time
 
-    from repro.core.pipeline import IngestionPipeline
-    from repro.core.tmerge import TMerge
-    from repro.synth.datasets import preset_by_name
-    from repro.synth.world import simulate_world
-    from repro.track.tracktor import TracktorTracker
-
-    world = simulate_world(
-        preset_by_name("mot17").config, args.frames, seed=0
-    )
+    world = _world(args)
     n_workers = args.workers or 4
 
     def measure(workers: int):
-        pipeline = IngestionPipeline(
-            tracker=TracktorTracker(),
-            merger=TMerge(k=0.05, tau_max=400, batch_size=10, seed=3),
-            window_length=args.window_length,
-            workers=workers,
-            parallel_backend=args.parallel_backend,
-        )
+        pipeline = _pipeline(args, workers)
         start = time.perf_counter()
         result = pipeline.run(world)
         return time.perf_counter() - start, result
@@ -321,10 +381,11 @@ def run_parallel(args) -> str:
         f"candidates: {len(serial.selected_pairs)}, "
         f"simulated merge seconds: {serial.total_simulated_seconds:.1f}"
     )
-    return f"{table}\n\n{footer}"
+    print(f"{table}\n\n{footer}")
+    return 0
 
 
-def run_serve(args) -> str:
+def run_serve(args: argparse.Namespace) -> int:
     """Drive the streaming ingestion service over a synthetic feed.
 
     Builds a seeded event feed (bounded arrival disorder, optional fault
@@ -337,66 +398,23 @@ def run_serve(args) -> str:
     reference bit-for-bit — the durable-restart guarantee, demonstrated
     live.
     """
-    from repro.core.tmerge import TMerge
-    from repro.faults import fault_profile
     from repro.provenance import DecisionLedger
     from repro.resilience import CheckpointStore
-    from repro.streaming import (
-        BackpressurePolicy,
-        StreamingIngestionService,
-        SyntheticFeedSource,
-    )
-    from repro.synth.datasets import preset_by_name
-    from repro.synth.world import simulate_world
     from repro.telemetry import Telemetry, render_openmetrics
-    from repro.track.tracktor import TracktorTracker
 
-    world = simulate_world(
-        preset_by_name("mot17").config, args.frames, seed=0
-    )
-    profile = (
-        fault_profile(args.profile, seed=args.fault_seed)
-        if args.profile
-        else None
-    )
-    source = SyntheticFeedSource(
-        world,
-        disorder_ms=args.disorder_ms,
-        disorder_seed=3,
-        fault_profile=profile,
-    )
-    policy = BackpressurePolicy(
-        mode=args.policy,
-        capacity=args.queue_capacity,
-        latency_slo_ms=args.latency_slo,
-    )
+    source, make_service = _streaming_session(args)
     ledger = DecisionLedger() if args.ledger_out else None
     telemetry = Telemetry() if args.metrics_out else None
 
-    def service(
-        store: CheckpointStore, observed: bool = True
-    ) -> StreamingIngestionService:
-        return StreamingIngestionService(
-            TracktorTracker(),
-            TMerge(k=0.05, tau_max=400, batch_size=10, seed=3),
-            window_length=args.window_length,
-            allowed_lateness=args.lateness,
-            max_open_windows=args.max_open_windows,
-            policy=policy,
-            workers=args.workers or 1,
-            parallel_backend=args.parallel_backend,
-            fault_profile=profile,
-            store=store,
-            telemetry=telemetry if observed else None,
-            ledger=ledger if observed else None,
-        )
+    def service(store: CheckpointStore):
+        return make_service(store, telemetry=telemetry, ledger=ledger)
 
     notes = []
     if args.kill_after is not None:
         # The uninterrupted reference stays unobserved: the exported
         # ledger/metrics must describe the actual (killed + resumed)
         # session, not a doubled recording.
-        reference = service(CheckpointStore(), observed=False).run(source)
+        reference = make_service(CheckpointStore()).run(source)
         store = CheckpointStore()
         first = service(store).run(
             source, stop_after_windows=args.kill_after
@@ -408,7 +426,6 @@ def run_serve(args) -> str:
                 "resumed run diverged from uninterrupted — restart bug"
             )
         emissions = first.emissions + result.emissions
-        counters = result.counters
         peak = max(first.peak_open_windows, result.peak_open_windows)
         notes.append(
             f"killed after {len(first.emissions)} windows at offset "
@@ -419,7 +436,6 @@ def run_serve(args) -> str:
     else:
         result = service(CheckpointStore()).run(source)
         emissions = result.emissions
-        counters = result.counters
         peak = result.peak_open_windows
     rows = [
         [
@@ -437,13 +453,13 @@ def run_serve(args) -> str:
         ["window", "span", "tracks", "pairs", "candidates", "degraded",
          "lag ms"],
         rows,
-        f"Streaming service — policy {policy.mode}, "
+        f"Streaming service — policy {args.policy}, "
         f"lateness {args.lateness}, "
         f"profile {args.profile or 'none'}",
     )
     counter_text = ", ".join(
         f"{name.removeprefix('stream.')}={value:g}"
-        for name, value in sorted(counters.items())
+        for name, value in sorted(result.counters.items())
     )
     footer = (
         f"peak open windows: {peak} (bound {args.max_open_windows}); "
@@ -459,10 +475,11 @@ def run_serve(args) -> str:
             render_openmetrics(telemetry.metrics)
         )
         notes.append(f"OpenMetrics snapshot -> {args.metrics_out}")
-    return "\n".join([table, "", footer] + notes)
+    print("\n".join([table, "", footer] + notes))
+    return 0
 
 
-def run_explain(args) -> int:
+def run_explain(args: argparse.Namespace) -> int:
     """Reconstruct one pair's decision chain from a ledger export.
 
     Reads a JSONL ledger (``serve --ledger-out`` or
@@ -498,7 +515,7 @@ def run_explain(args) -> int:
     return 0
 
 
-def run_monitor(args) -> int:
+def run_monitor(args: argparse.Namespace) -> int:
     """Live-monitor a streaming session, one frame per window emission.
 
     Runs the same synthetic feed as ``serve`` but drives the service
@@ -508,62 +525,17 @@ def run_monitor(args) -> int:
     ledger, and the lifetime counters.  What it shows is exactly the
     state a crashed-and-restarted service would rebuild.
     """
-    from repro.core.tmerge import TMerge
     from repro.experiments.monitor import monitor_steps
-    from repro.faults import fault_profile
     from repro.provenance import DecisionLedger
     from repro.resilience import CheckpointStore
-    from repro.streaming import (
-        BackpressurePolicy,
-        StreamingIngestionService,
-        SyntheticFeedSource,
-    )
-    from repro.synth.datasets import preset_by_name
-    from repro.synth.world import simulate_world
     from repro.telemetry import Telemetry
-    from repro.track.tracktor import TracktorTracker
 
-    world = simulate_world(
-        preset_by_name("mot17").config, args.frames, seed=0
-    )
-    profile = (
-        fault_profile(args.profile, seed=args.fault_seed)
-        if args.profile
-        else None
-    )
-    source = SyntheticFeedSource(
-        world,
-        disorder_ms=args.disorder_ms,
-        disorder_seed=3,
-        fault_profile=profile,
-    )
-    policy = BackpressurePolicy(
-        mode=args.policy,
-        capacity=args.queue_capacity,
-        latency_slo_ms=args.latency_slo,
-    )
+    source, make_service = _streaming_session(args)
     store = CheckpointStore()
     telemetry = Telemetry()
     ledger = DecisionLedger()
-
-    def make_service() -> StreamingIngestionService:
-        return StreamingIngestionService(
-            TracktorTracker(),
-            TMerge(k=0.05, tau_max=400, batch_size=10, seed=3),
-            window_length=args.window_length,
-            allowed_lateness=args.lateness,
-            max_open_windows=args.max_open_windows,
-            policy=policy,
-            workers=args.workers or 1,
-            parallel_backend=args.parallel_backend,
-            fault_profile=profile,
-            store=store,
-            telemetry=telemetry,
-            ledger=ledger,
-        )
-
     steps = monitor_steps(
-        make_service,
+        lambda: make_service(store, telemetry=telemetry, ledger=ledger),
         source,
         registry=telemetry.metrics,
         ledger=ledger,
@@ -579,7 +551,7 @@ def run_monitor(args) -> int:
     return 0
 
 
-def run_gate(args) -> int:
+def run_gate(args: argparse.Namespace) -> int:
     """Compare a bench summary to the baseline; return the exit status."""
     from repro.experiments.bench_summary import gate_summary_files
 
@@ -598,7 +570,7 @@ def run_gate(args) -> int:
     return 0
 
 
-def run_perf(args) -> int:
+def run_perf(args: argparse.Namespace) -> int:
     """Run the batched hot-path microbench; return the exit status.
 
     The ``bench-perf`` CI lane: measures scalar vs batched TMerge on the
@@ -630,7 +602,7 @@ def run_perf(args) -> int:
     return 0
 
 
-def run_scenarios(args) -> int:
+def run_scenarios(args: argparse.Namespace) -> int:
     """Run the regime-sweep scenario matrix; return the exit status.
 
     The ``scenario-sweep`` CI lane: runs every named scenario through
@@ -672,295 +644,256 @@ def run_scenarios(args) -> int:
     return 0
 
 
-def run_faults(args) -> str:
-    """Render the chaos matrix: TMerge under injected fault profiles."""
+def run_faults(args: argparse.Namespace) -> int:
+    """Print the chaos matrix: TMerge under injected fault profiles."""
     from repro.experiments.chaos import fault_profile_sweep
 
-    videos = _mot17(args.videos)
     rows = fault_profile_sweep(
         figures.default_quality_merger,
-        videos,
+        _mot17(args.videos),
         profiles=list(args.profiles),
         fault_seed=args.fault_seed,
     )
-    return format_table(
-        ["profile", "REC", "FPS", "seconds", "degraded windows"],
-        [
-            [name, p.rec, p.fps, p.simulated_seconds, p.degraded_windows]
-            for name, p in rows
-        ],
-        "Chaos matrix — TMerge under fault injection",
+    print(
+        format_table(
+            ["profile", "REC", "FPS", "seconds", "degraded windows"],
+            [
+                [name, p.rec, p.fps, p.simulated_seconds, p.degraded_windows]
+                for name, p in rows
+            ],
+            "Chaos matrix — TMerge under fault injection",
+        )
+    )
+    return 0
+
+
+def run_list(args: argparse.Namespace) -> int:
+    """Print every subcommand name."""
+    print("available:", ", ".join(sorted(set(COMMANDS) - {"list"})))
+    return 0
+
+
+# ----------------------------------------------------------------------
+# The subcommand table
+# ----------------------------------------------------------------------
+def _options(*specs: tuple[tuple[str, ...], dict]) -> argparse.ArgumentParser:
+    """A parent parser holding one shared option group."""
+    parser = argparse.ArgumentParser(add_help=False)
+    for flags, kwargs in specs:
+        parser.add_argument(*flags, **kwargs)
+    return parser
+
+
+def _opt(*flags: str, **kwargs: Any) -> tuple[tuple[str, ...], dict]:
+    return flags, kwargs
+
+
+_VIDEOS = _options(
+    _opt("--videos", type=int, default=2,
+         help="videos per dataset (default 2)"),
+)
+_FAULT_SEED = _options(
+    _opt("--fault-seed", type=int, default=7,
+         help="seed of the injected fault schedule (default 7)"),
+)
+_VIDEO_RUN = _options(
+    _opt("--frames", type=int, default=400,
+         help="synthetic video length in frames (default 400)"),
+    _opt("--window-length", type=int, default=200,
+         help="window length in frames (default 200)"),
+)
+_WORKERS = _options(
+    _opt("--workers", type=int, default=None,
+         help="window-sharded engine worker count (default: serial "
+         "path; 4 for the parallel report, 1 for the streaming service)"),
+    _opt("--parallel-backend", choices=["process", "thread"],
+         default="process",
+         help="pool backend for --workers (default process)"),
+)
+_FEED = _options(
+    _opt("--profile", default=None,
+         help="fault profile injected into the feed and merges"),
+    _opt("--policy", choices=["block", "drop-oldest", "degrade"],
+         default="block",
+         help="intake backpressure policy (default block)"),
+    _opt("--queue-capacity", type=int, default=64,
+         help="intake queue bound in events (default 64)"),
+    _opt("--latency-slo", type=float, default=None,
+         help="simulated latency SLO in ms for the degrade policy"),
+    _opt("--disorder-ms", type=float, default=50.0,
+         help="arrival jitter bound in simulated ms (default 50)"),
+    _opt("--lateness", type=int, default=4,
+         help="allowed lateness in frames (default 4)"),
+    _opt("--max-open-windows", type=int, default=8,
+         help="resident open-window bound (default 8)"),
+)
+_TOLERANCE = _options(
+    _opt("--tolerance", type=float, default=0.05,
+         help="relative regression tolerance (default 0.05)"),
+)
+_SMOKE = _options(
+    _opt("--smoke", action="store_true",
+         help="use the CI smoke workload"),
+)
+_STREAMING = (_VIDEO_RUN, _FEED, _FAULT_SEED, _WORKERS)
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its handler and the option groups it reads.
+
+    Attributes:
+        run: handler taking the parsed arguments, returning the exit
+            status.
+        help: one-line description for ``--help``.
+        options: the option groups (parent parsers) it reads.
+    """
+
+    run: Callable[[argparse.Namespace], int]
+    help: str
+    options: tuple[argparse.ArgumentParser, ...] = ()
+
+
+def _figure_command(figure: Figure) -> Command:
+    def run(args: argparse.Namespace) -> int:
+        print(figure.render(args))
+        return 0
+
+    return Command(
+        run,
+        f"regenerate {figure.title}",
+        (_VIDEOS,) if figure.videos else (),
     )
 
 
-_RUNNERS = {
-    "fig3": run_fig3,
-    "fig4": run_fig4,
-    "fig5": run_fig5,
-    "fig6": run_fig6,
-    "fig7": run_fig7,
-    "fig8": run_fig8,
-    "fig9": run_fig9,
-    "fig10": run_fig10,
-    "fig11": run_fig11,
-    "fig12": run_fig12,
-    "fig13": run_fig13,
-    "faults": run_faults,
-    "telemetry": run_telemetry,
-    "parallel": run_parallel,
-    "serve": run_serve,
+COMMANDS = {
+    **{name: _figure_command(fig) for name, fig in FIGURES.items()},
+    "faults": Command(
+        run_faults,
+        "chaos matrix: TMerge under injected fault profiles",
+        (_VIDEOS, _FAULT_SEED, _options(
+            _opt("--profiles", nargs="+",
+                 default=["flaky-reid", "corrupt-features", "window-crash"],
+                 help="fault profiles for the chaos matrix"),
+        )),
+    ),
+    "telemetry": Command(
+        run_telemetry,
+        "one instrumented ingestion: per-window counters and spans",
+        (_VIDEO_RUN, _WORKERS),
+    ),
+    "parallel": Command(
+        run_parallel,
+        "window-sharded engine speedup over workers=1",
+        (_VIDEO_RUN, _WORKERS),
+    ),
+    "serve": Command(
+        run_serve,
+        "streaming service over a synthetic feed",
+        (*_STREAMING, _options(
+            _opt("--kill-after", type=int, default=None,
+                 help="kill the service after N window emissions, then "
+                 "resume from its checkpoint and verify bit-identity"),
+            _opt("--ledger-out", default=None,
+                 help="export the session's decision ledger as JSONL to "
+                 "this path"),
+            _opt("--metrics-out", default=None,
+                 help="write an OpenMetrics snapshot of the session's "
+                 "metrics to this path"),
+        )),
+    ),
+    "monitor": Command(
+        run_monitor,
+        "live dashboard of a streaming session",
+        (*_STREAMING, _options(
+            _opt("--steps", type=int, default=None,
+                 help="stop after N window emissions (default: run the "
+                 "feed dry)"),
+        )),
+    ),
+    "explain": Command(
+        run_explain,
+        "one pair's merge decision chain from a ledger export",
+        (_options(
+            _opt("--ledger", required=True,
+                 help="JSONL ledger export to read"),
+            _opt("--pair", nargs=2, type=int, metavar=("A", "B"),
+                 required=True, help="track ids of the pair to explain"),
+            _opt("--window", type=int, default=None,
+                 help="window index, when the pair appears in several"),
+        ),),
+    ),
+    "gate": Command(
+        run_gate,
+        "bench summary regression gate",
+        (_TOLERANCE, _options(
+            _opt("--current", default="benchmarks/results/bench_summary.json",
+                 help="summary produced by this run"),
+            _opt("--baseline",
+                 default="benchmarks/results/baseline_summary.json",
+                 help="committed baseline summary"),
+        )),
+    ),
+    "perf": Command(
+        run_perf,
+        "batched hot-path microbench",
+        (_SMOKE, _options(
+            _opt("--repeats", type=int, default=3,
+                 help="timed runs per contender, best kept (default 3)"),
+            _opt("--output", default="benchmarks/results/perf_summary.json",
+                 help="where to write the perf summary"),
+            _opt("--trend", default=None,
+                 help="JSONL trend file to append the perf record to"),
+        )),
+    ),
+    "scenarios": Command(
+        run_scenarios,
+        "regime-sweep scenario matrix",
+        (_SMOKE, _TOLERANCE, _options(
+            _opt("--seed", type=int, default=0,
+                 help="sweep seed of the scenario matrix (default 0)"),
+            _opt("--only", nargs="+", default=None, metavar="NAME",
+                 help="run only these named scenarios"),
+            _opt("--matrix-out",
+                 default="benchmarks/results/scenario_matrix.json",
+                 help="where to write the scenario matrix document (the "
+                 "default refreshes the committed baseline)"),
+            _opt("--matrix-baseline",
+                 default="benchmarks/results/scenario_matrix.json",
+                 help="committed scenario baseline the gate compares "
+                 "against"),
+            _opt("--summary-out", default=None,
+                 help="bench summary file to fold a scenario_matrix "
+                 "record into"),
+            _opt("--gate", action="store_true",
+                 help="gate the fresh matrix per scenario against "
+                 "--matrix-baseline; exit non-zero on regression"),
+        )),
+    ),
+    "list": Command(run_list, "show available commands"),
 }
 
 
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns the process exit status."""
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro.experiments`` parser, one subparser per command."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Regenerate a paper figure at laptop scale.",
     )
-    parser.add_argument(
-        "figure",
-        choices=sorted(_RUNNERS) + [
-            "explain", "gate", "monitor", "perf", "scenarios", "list",
-        ],
-        help="which figure to regenerate (or: telemetry, explain, "
-        "monitor, gate, perf, scenarios, list)",
+    subparsers = parser.add_subparsers(
+        dest="command", required=True, metavar="command"
     )
-    parser.add_argument(
-        "--videos",
-        type=int,
-        default=2,
-        help="videos per dataset (default 2)",
-    )
-    parser.add_argument(
-        "--profiles",
-        nargs="+",
-        default=["flaky-reid", "corrupt-features", "window-crash"],
-        help="fault profiles for the chaos matrix (faults only)",
-    )
-    parser.add_argument(
-        "--fault-seed",
-        type=int,
-        default=7,
-        help="seed of the injected fault schedule (faults only)",
-    )
-    parser.add_argument(
-        "--synthetic",
-        action="store_true",
-        help="use synthetic data (telemetry only; always true here)",
-    )
-    parser.add_argument(
-        "--frames",
-        type=int,
-        default=400,
-        help="video length for the telemetry run (telemetry only)",
-    )
-    parser.add_argument(
-        "--window-length",
-        type=int,
-        default=200,
-        help="window length for the telemetry run (telemetry only)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="window-sharded engine worker count (telemetry, parallel; "
-        "default: serial path, or 4 for the parallel report)",
-    )
-    parser.add_argument(
-        "--parallel-backend",
-        choices=["process", "thread"],
-        default="process",
-        help="pool backend for --workers (default process)",
-    )
-    parser.add_argument(
-        "--profile",
-        default=None,
-        help="single fault profile for the streaming service (serve only)",
-    )
-    parser.add_argument(
-        "--policy",
-        choices=["block", "drop-oldest", "degrade"],
-        default="block",
-        help="intake backpressure policy (serve only, default block)",
-    )
-    parser.add_argument(
-        "--queue-capacity",
-        type=int,
-        default=64,
-        help="intake queue bound in events (serve only, default 64)",
-    )
-    parser.add_argument(
-        "--latency-slo",
-        type=float,
-        default=None,
-        help="simulated latency SLO in ms for the degrade policy "
-        "(serve only)",
-    )
-    parser.add_argument(
-        "--disorder-ms",
-        type=float,
-        default=50.0,
-        help="arrival jitter bound in simulated ms (serve only)",
-    )
-    parser.add_argument(
-        "--lateness",
-        type=int,
-        default=4,
-        help="allowed lateness in frames (serve only, default 4)",
-    )
-    parser.add_argument(
-        "--max-open-windows",
-        type=int,
-        default=8,
-        help="resident open-window bound (serve only, default 8)",
-    )
-    parser.add_argument(
-        "--kill-after",
-        type=int,
-        default=None,
-        help="kill the service after N window emissions, then resume "
-        "from its checkpoint and verify bit-identity (serve only)",
-    )
-    parser.add_argument(
-        "--ledger-out",
-        default=None,
-        help="export the session's decision ledger as JSONL to this "
-        "path (serve only)",
-    )
-    parser.add_argument(
-        "--metrics-out",
-        default=None,
-        help="write an OpenMetrics snapshot of the session's metrics "
-        "to this path (serve only)",
-    )
-    parser.add_argument(
-        "--ledger",
-        default=None,
-        help="JSONL ledger export to read (explain only)",
-    )
-    parser.add_argument(
-        "--pair",
-        nargs=2,
-        type=int,
-        metavar=("A", "B"),
-        default=None,
-        help="track ids of the pair to explain (explain only)",
-    )
-    parser.add_argument(
-        "--window",
-        type=int,
-        default=None,
-        help="window index, when the pair appears in several "
-        "(explain only)",
-    )
-    parser.add_argument(
-        "--steps",
-        type=int,
-        default=None,
-        help="stop the monitor after N window emissions "
-        "(monitor only, default: run the feed dry)",
-    )
-    parser.add_argument(
-        "--current",
-        default="benchmarks/results/bench_summary.json",
-        help="summary produced by this run (gate only)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default="benchmarks/results/baseline_summary.json",
-        help="committed baseline summary (gate only)",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.05,
-        help="relative regression tolerance (gate only, default 0.05)",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="use the CI smoke workload (perf and scenarios)",
-    )
-    parser.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="timed runs per contender, best kept (perf only, default 3)",
-    )
-    parser.add_argument(
-        "--output",
-        default="benchmarks/results/perf_summary.json",
-        help="where to write the perf summary (perf only)",
-    )
-    parser.add_argument(
-        "--trend",
-        default=None,
-        help="JSONL trend file to append the perf record to (perf only)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="sweep seed of the scenario matrix (scenarios only, "
-        "default 0)",
-    )
-    parser.add_argument(
-        "--only",
-        nargs="+",
-        default=None,
-        metavar="NAME",
-        help="run only these named scenarios (scenarios only)",
-    )
-    parser.add_argument(
-        "--matrix-out",
-        default="benchmarks/results/scenario_matrix.json",
-        help="where to write the scenario matrix document "
-        "(scenarios only; the default refreshes the committed baseline)",
-    )
-    parser.add_argument(
-        "--matrix-baseline",
-        default="benchmarks/results/scenario_matrix.json",
-        help="committed scenario baseline the gate compares against "
-        "(scenarios only)",
-    )
-    parser.add_argument(
-        "--summary-out",
-        default=None,
-        help="bench summary file to fold a scenario_matrix record into "
-        "(scenarios only)",
-    )
-    parser.add_argument(
-        "--gate",
-        action="store_true",
-        help="gate the fresh matrix per scenario against "
-        "--matrix-baseline; exit non-zero on regression (scenarios only)",
-    )
-    args = parser.parse_args(argv)
-    if args.figure == "list":
-        print(
-            "available:",
-            ", ".join(
-                sorted(_RUNNERS)
-                + ["explain", "gate", "monitor", "perf", "scenarios"]
-            ),
+    for name, command in COMMANDS.items():
+        subparsers.add_parser(
+            name, help=command.help, parents=list(command.options)
         )
-        return 0
-    if args.figure == "gate":
-        return run_gate(args)
-    if args.figure == "perf":
-        return run_perf(args)
-    if args.figure == "scenarios":
-        return run_scenarios(args)
-    if args.figure == "explain":
-        if args.ledger is None or args.pair is None:
-            parser.error("explain requires --ledger and --pair A B")
-        return run_explain(args)
-    if args.figure == "monitor":
-        return run_monitor(args)
-    print(_RUNNERS[args.figure](args))
-    return 0
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    """CLI entry point; returns the process exit status."""
+    args = build_parser().parse_args(argv)
+    return COMMANDS[args.command].run(args)
 
 
 if __name__ == "__main__":

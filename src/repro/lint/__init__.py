@@ -5,13 +5,13 @@ enforcing the invariants the reproduction's correctness rests on:
 
 * **REPRO001** — randomness only via an injected ``np.random.Generator``
   (reproducible Thompson draws, BBox sampling, Bernoulli trials).
-* **REPRO002** — no wall-clock reads in ``core``/``bandit``/``reid`` or
-  the ``parallel``/``streaming``/``resilience``/``faults`` seams; all
-  cost is charged to the simulated ``scorer.cost`` clock.
+* **REPRO002** — no wall-clock reads in ``core``/``reid`` or the
+  ``parallel``/``streaming``/``resilience``/``faults`` seams; all cost is
+  charged to the simulated ``scorer.cost`` clock.
 * **REPRO003** — no mutable default arguments.
 * **REPRO004** — no bare ``except:`` or ``print()`` in library code.
 * **REPRO005** — no star imports.
-* **REPRO006** — no float ``==``/``!=`` in ``core``/``bandit``.
+* **REPRO006** — no float ``==``/``!=`` in ``core``.
 * **REPRO007** — public functions/classes carry docstrings and return
   annotations.
 * **REPRO008** — every ``__all__`` entry resolves to a real binding.

@@ -22,7 +22,7 @@ from typing import ClassVar
 #: streaming service, retries and fault injection); wall-clock reads are
 #: forbidden there (REPRO002).
 COST_PATH_SUBPACKAGES = frozenset(
-    {"core", "bandit", "reid", "parallel", "streaming", "resilience", "faults"}
+    {"core", "reid", "parallel", "streaming", "resilience", "faults"}
 )
 
 #: Module basenames treated as CLI entry points, exempt from the

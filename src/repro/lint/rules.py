@@ -164,7 +164,7 @@ class SimulatedCostOnlyRule(Rule):
     title = "no wall-clock time on the simulated-cost path"
     rationale = (
         "All figures report the simulated `scorer.cost` clock; a "
-        "`time.time()`/`perf_counter()` read inside core, bandit, reid, "
+        "`time.time()`/`perf_counter()` read inside core, reid, "
         "parallel, streaming, resilience or faults silently turns "
         "reproducible cost accounting into machine-dependent wall time."
     )
@@ -401,10 +401,10 @@ class NoStarImportsRule(Rule):
 
 
 class NoFloatEqualityRule(Rule):
-    """REPRO006 — no float ``==``/``!=`` in core/bandit arithmetic."""
+    """REPRO006 — no float ``==``/``!=`` in core arithmetic."""
 
     rule_id = "REPRO006"
-    title = "no float equality comparisons in core/bandit"
+    title = "no float equality comparisons in core"
     rationale = (
         "Posterior means, confidence radii and normalized distances are "
         "accumulated floats; exact equality against a float literal is "
@@ -432,8 +432,8 @@ class NoFloatEqualityRule(Rule):
     _FLOAT_ATTRS = frozenset({"inf", "nan"})
 
     def applies_to(self, ctx: FileContext) -> bool:
-        """Only ``repro.core`` and ``repro.bandit``."""
-        return ctx.subpackage in ("core", "bandit")
+        """Only ``repro.core``."""
+        return ctx.subpackage == "core"
 
     def _is_float_literal(self, node: ast.AST) -> bool:
         if isinstance(node, ast.Constant):

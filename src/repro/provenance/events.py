@@ -14,14 +14,13 @@ Reason codes
 ``window``
     A window's sampling run opened: records the arm → pair-key table
     (``pairs``, index-aligned with every later arm index), the candidate
-    budget, the effective batch size and the posterior family.
+    budget and the effective batch size.
 ``sample``
     One TMerge iteration: the arms whose Thompson draws were selected
     (``arms``, with their drawn ``theta``), the subset actually observed
     (``observed``, skipping exhausted pairs), the normalized ReID
     distances ``d_norm`` and the per-observed-arm posterior state
-    ``posterior_before`` / ``posterior_after`` (``[alpha, beta]`` pairs
-    for the Beta family, ``[mean, var]`` for the Gaussian one).
+    ``posterior_before`` / ``posterior_after`` (``[alpha, beta]`` pairs).
 ``ulb``
     One ULB pruning pass that changed the partition: newly accepted and
     rejected arms with their Hoeffding radii at that τ.

@@ -95,12 +95,10 @@ class DecisionChain:
         return "\n".join(lines)
 
 
-def _posterior_mean(state: list, family: str) -> float:
-    """The posterior mean of one recorded posterior state."""
-    if family == "beta":
-        alpha, beta = float(state[0]), float(state[1])
-        return alpha / (alpha + beta)
-    return float(state[0])
+def _posterior_mean(state: list) -> float:
+    """The mean of one recorded ``[alpha, beta]`` posterior state."""
+    alpha, beta = float(state[0]), float(state[1])
+    return alpha / (alpha + beta)
 
 
 def windows_containing(
@@ -169,7 +167,6 @@ def explain_pair(
         for i, recorded in enumerate(table)
         if sorted(int(x) for x in recorded) == key
     )
-    family = str(opened.data.get("posterior", "beta"))
 
     steps: list[DecisionStep] = [
         DecisionStep(
@@ -179,8 +176,7 @@ def explain_pair(
             summary=(
                 f"window opened: {opened.data.get('n_pairs')} pairs, "
                 f"budget {opened.data.get('budget')}, "
-                f"batch {opened.data.get('batch')}, "
-                f"{family} posterior"
+                f"batch {opened.data.get('batch')}"
             ),
             detail=dict(opened.data),
         )
@@ -213,8 +209,8 @@ def explain_pair(
                 summary = (
                     f"drawn theta={detail.get('theta', float('nan')):.4f}, "
                     f"observed d_norm={d_norm:.4f}; posterior mean "
-                    f"{_posterior_mean(before, family):.4f} -> "
-                    f"{_posterior_mean(after, family):.4f}"
+                    f"{_posterior_mean(before):.4f} -> "
+                    f"{_posterior_mean(after):.4f}"
                 )
             else:
                 summary = (

@@ -5,7 +5,7 @@ Three guarantees are enforced here:
 * **Golden bit-identity** — the vectorized inner loop reproduces
   pre-vectorization fingerprints (``tests/fixtures/tmerge_golden.json``,
   captured before the rewrite) exactly, on both the scalar and the
-  batched path, for both posteriors, with and without ULB/regret.
+  batched path, with and without ULB/regret.
 * **B=1 ≡ scalar** — ``batch_size=1`` degenerates to the scalar
   algorithm bit-for-bit, across seeds × fault profiles × worker counts
   (the pipeline-level knob threads end to end).
@@ -40,7 +40,6 @@ FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN_CONFIGS = {
     "scalar_beta_s0": dict(k=0.2, tau_max=300, seed=0),
     "scalar_beta_s5": dict(k=0.2, tau_max=300, seed=5),
-    "scalar_gauss_s0": dict(k=0.2, tau_max=300, seed=0, posterior="gaussian"),
     "scalar_noulb_s2": dict(k=0.2, tau_max=250, seed=2, use_ulb=False),
     "scalar_regret_s1": dict(k=0.2, tau_max=200, seed=1, s_min=0.0),
     "scalar_tight_ulb_s0": dict(
@@ -48,9 +47,6 @@ GOLDEN_CONFIGS = {
     ),
     "batched_b10_s0": dict(k=0.2, tau_max=300, seed=0, batch_size=10),
     "batched_b10_s5": dict(k=0.2, tau_max=300, seed=5, batch_size=10),
-    "batched_b4_gauss_s3": dict(
-        k=0.2, tau_max=300, seed=3, batch_size=4, posterior="gaussian"
-    ),
     "batched_b8_tight_ulb_s1": dict(
         k=0.2, tau_max=400, seed=1, batch_size=8,
         ulb_scale=0.3, ulb_interval=10,

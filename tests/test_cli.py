@@ -2,28 +2,54 @@
 
 import pytest
 
-from repro.experiments.__main__ import main, _RUNNERS
+from repro.experiments.__main__ import COMMANDS, FIGURES, main
 
 
 class TestCli:
     def test_list(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        for name in _RUNNERS:
-            assert name in out
+        for name in COMMANDS:
+            if name != "list":
+                assert name in out
 
     def test_unknown_figure_rejected(self):
         with pytest.raises(SystemExit):
             main(["fig99"])
 
     def test_every_figure_registered(self):
-        expected = {f"fig{i}" for i in range(3, 14)} | {
+        figures = {f"fig{i}" for i in range(3, 14)}
+        assert set(FIGURES) == figures
+        assert set(COMMANDS) == figures | {
             "faults",
             "telemetry",
             "parallel",
             "serve",
+            "monitor",
+            "explain",
+            "gate",
+            "perf",
+            "scenarios",
+            "list",
         }
-        assert set(_RUNNERS) == expected
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--videos", "3"],
+            ["fig4", "--videos", "3"],
+            ["gate", "--frames", "10"],
+            ["explain", "--ledger", "x.jsonl", "--pair", "1", "2",
+             "--steps", "1"],
+            ["telemetry", "--synthetic"],
+            ["monitor", "--kill-after", "1"],
+        ],
+        ids=["serve-videos", "fig4-videos", "gate-frames", "explain-steps",
+             "telemetry-synthetic", "monitor-kill-after"],
+    )
+    def test_subcommand_rejects_options_it_does_not_read(self, argv):
+        with pytest.raises(SystemExit):
+            main(argv)
 
 
 class TestObservabilityCli:
@@ -89,6 +115,11 @@ class TestObservabilityCli:
     def test_explain_requires_ledger_and_pair(self):
         with pytest.raises(SystemExit):
             main(["explain"])
+
+    def test_explain_requires_pair(self, exports):
+        ledger, _ = exports
+        with pytest.raises(SystemExit):
+            main(["explain", "--ledger", str(ledger)])
 
     def test_monitor_renders_dashboard(self, capsys):
         status = main([

@@ -109,13 +109,6 @@ class TestWiring:
         result = TMerge(k=0.2, tau_max=300, seed=3).run(pairs, stub_scorer())
         assert planted in result.candidate_keys
 
-    def test_tmerge_gaussian_runs_clean_under_contracts(self, contracts_on):
-        pairs, planted = planted_pairs()
-        result = TMerge(
-            k=0.2, tau_max=300, posterior="gaussian", seed=3
-        ).run(pairs, stub_scorer())
-        assert planted in result.candidate_keys
-
     def test_ulb_pruner_checked_on_update(self, contracts_on):
         pruner = UlbPruner(n_arms=4, k_count=1, radius_scale=0.2)
         # Corrupt the state behind the pruner's back; the next update's

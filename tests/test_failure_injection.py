@@ -7,7 +7,6 @@ from helpers import make_detection, make_track, stub_scorer, tiny_world
 
 from repro.core import (
     BaselineMerger,
-    EpsilonGreedyMerger,
     LcbMerger,
     ProportionalMerger,
     TMerge,
@@ -31,7 +30,8 @@ ALL_MERGERS = [
     lambda: LcbMerger(tau_max=50, k=0.5, seed=0),
     lambda: TMerge(k=0.5, tau_max=50, seed=0),
     lambda: TMerge(k=0.5, tau_max=20, batch_size=4, seed=0),
-    lambda: EpsilonGreedyMerger(tau_max=50, k=0.5, seed=0),
+    # The Figure 8 ablation shape: no BetaInit priors, no ULB pruning.
+    lambda: TMerge(k=0.5, tau_max=50, thr_s=None, use_ulb=False, seed=0),
 ]
 
 

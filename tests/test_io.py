@@ -94,6 +94,31 @@ class TestDetectionRoundtrip:
         assert len(tracks) == 1
 
 
+#: Malformed rows and the field their error must name.
+MALFORMED_ROWS = {
+    "frame-zero": ("0,1,10,10,5,5,0.9,-1,-1,-1", "frame"),
+    "fractional-frame": ("1.7,1,10,10,5,5,0.9,-1,-1,-1", "frame"),
+    "fractional-id": ("2,1.5,10,10,5,5,0.9,-1,-1,-1", "id"),
+    "nan-coordinate": ("2,1,nan,10,5,5,0.9,-1,-1,-1", "bb_left"),
+    "inf-width": ("2,1,10,10,inf,5,0.9,-1,-1,-1", "bb_width"),
+    "non-numeric": ("2,1,10,abc,5,5,0.9,-1,-1,-1", "bb_top"),
+    "negative-size": ("2,1,10,10,5,-5,0.9,-1,-1,-1", "bb_height"),
+    "nan-confidence": ("2,1,10,10,5,5,nan,-1,-1,-1", "conf"),
+    "short-row": ("2,1,10,10", "6 fields"),
+}
+
+
+@pytest.mark.parametrize("reader", [read_tracks_mot, read_detections_mot])
+@pytest.mark.parametrize(
+    "row, field", MALFORMED_ROWS.values(), ids=list(MALFORMED_ROWS)
+)
+def test_malformed_row_names_file_line_and_field(tmp_path, reader, row, field):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"# comment\n1,1,10,10,5,5,0.9,-1,-1,-1\n{row}\n")
+    with pytest.raises(ValueError, match=rf"bad\.txt:3: .*{field}"):
+        reader(path)
+
+
 class TestGtExport:
     def test_world_gt_lines(self, tmp_path):
         world = tiny_world(n_frames=20, seed=3)

@@ -90,9 +90,9 @@ class TestRuleScoping:
         assert run_rule("REPRO004", source, "src/repro/core/__main__.py") == []
         assert run_rule("REPRO004", source, "src/repro/lint/cli.py") == []
 
-    def test_float_eq_only_core_and_bandit(self):
+    def test_float_eq_only_core(self):
         source = '"""M."""\nOK = 1.0 == 2.0\n'
-        assert len(run_rule("REPRO006", source, "src/repro/bandit/x.py")) == 1
+        assert len(run_rule("REPRO006", source, "src/repro/core/x.py")) == 1
         assert run_rule("REPRO006", source, "src/repro/metrics/x.py") == []
 
     def test_int_equality_not_flagged(self):

@@ -143,7 +143,7 @@ def _synthetic_window_events():
     ledger.record(
         EVENT_WINDOW,
         pairs=[[10, 11], [10, 12], [11, 12], [12, 13]],
-        n_pairs=4, budget=2, batch=1, posterior="beta", seed=3,
+        n_pairs=4, budget=2, batch=1, seed=3,
     )
     ledger.record(
         EVENT_SAMPLE, tau=1, arms=[0], theta=[0.2],

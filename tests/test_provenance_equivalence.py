@@ -78,19 +78,6 @@ class TestMergerTransparency:
         kinds = {event.kind for event in ledger}
         assert "window" in kinds and "sample" in kinds and "final" in kinds
 
-    def test_gaussian_posterior_transparent(self):
-        config = dict(k=0.2, tau_max=200, seed=3, posterior="gaussian")
-        pairs, scorer = _workload()
-        plain_print = _merge_fingerprint(
-            TMerge(**config).run(pairs, scorer), scorer
-        )
-        pairs, scorer = _workload()
-        ledger = DecisionLedger()
-        observed = TMerge(ledger=ledger, **config).run(pairs, scorer)
-        assert _merge_fingerprint(observed, scorer) == plain_print
-        sample = next(e for e in ledger if e.kind == "sample")
-        assert len(sample.data["posterior_after"][0]) == 2
-
 
 @pytest.fixture(scope="module")
 def tracked(chaos_world):

@@ -62,7 +62,6 @@ class TestPublicApi:
             "repro.detect",
             "repro.track",
             "repro.reid",
-            "repro.bandit",
             "repro.core",
             "repro.metrics",
             "repro.query",

@@ -48,15 +48,11 @@ class TestTMergeValidation:
         with pytest.raises(ValueError):
             TMerge(batch_size=0)
         with pytest.raises(ValueError):
-            TMerge(posterior="dirichlet")
-        with pytest.raises(ValueError):
             TMerge(ulb_interval=0)
 
     def test_names(self):
         assert TMerge().name == "TMerge"
         assert TMerge(batch_size=10).name == "TMerge-B10"
-        assert TMerge(posterior="gaussian").name == "TMerge-G"
-        assert TMerge(posterior="gaussian", batch_size=5).name == "TMerge-G-B5"
 
 
 class TestTMergeBehaviour:
@@ -116,13 +112,6 @@ class TestTMergeBehaviour:
         assert result.candidates[0].key == planted
         assert scorer.cost.n_batched_extractions > 0
         assert scorer.cost.n_extractions == 0
-
-    def test_gaussian_posterior_variant(self):
-        pairs, planted = planted_pairs()
-        result = TMerge(
-            k=1.0 / len(pairs), tau_max=400, posterior="gaussian", seed=0
-        ).run(pairs, stub_scorer())
-        assert result.candidates[0].key == planted
 
     def test_regret_tracking(self):
         pairs, _ = planted_pairs()

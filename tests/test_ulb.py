@@ -1,9 +1,38 @@
 """Unit tests for Algorithm 4 (ULB pruning)."""
 
+import math
+
 import numpy as np
 import pytest
 
-from repro.core.ulb import UlbPruner
+from repro.core.ulb import UlbPruner, hoeffding_radii
+
+
+class TestHoeffdingRadii:
+    def test_radius_shrinks_with_pulls(self):
+        radii = hoeffding_radii(100, np.array([10, 2]))
+        assert radii[0] < radii[1]
+
+    def test_radius_infinite_for_unpulled(self):
+        radii = hoeffding_radii(10, np.array([0, 3, 0]))
+        assert np.isinf(radii[[0, 2]]).all()
+        assert np.isfinite(radii[1])
+
+    def test_radius_formula(self):
+        pulls = np.array([1, 4, 9])
+        expected = [math.sqrt(2 * math.log(100) / n) for n in (1, 4, 9)]
+        assert hoeffding_radii(100, pulls).tolist() == expected
+
+    def test_radius_validation(self):
+        with pytest.raises(ValueError):
+            hoeffding_radii(0, np.array([1]))
+        with pytest.raises(ValueError):
+            hoeffding_radii(10, np.array([2, -1]))
+
+    def test_tau_one_gives_zero_radius(self):
+        radii = hoeffding_radii(1, np.array([5, 0]))
+        assert radii[0] == 0.0
+        assert math.isinf(radii[1])
 
 
 class TestUlbPruner:
