@@ -9,7 +9,6 @@ together and returns everything the evaluation and query layers need.
 from __future__ import annotations
 
 import copy
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -22,6 +21,7 @@ from repro.core.results import MergeResult, top_k_count
 from repro.core.windows import Window, WindowedTracks, partition_windows
 from repro.detect import Detection, NoisyDetector
 from repro.faults.errors import WindowCrashError
+from repro.faults.injectors import WindowCrashInjector
 from repro.faults.profiles import FaultProfile
 from repro.provenance import EVENT_FAULT, DecisionLedger
 from repro.reid import CostModel, CostParams, ReidScorer, SimReIDModel
@@ -78,6 +78,18 @@ def spatial_fallback_result(
     )
 
 
+def empty_merge_result(merger: "Merger") -> MergeResult:
+    """The result of a window with no candidate pairs."""
+    return MergeResult(
+        method=merger.name,
+        candidates=[],
+        scores={},
+        n_pairs=0,
+        k=getattr(merger, "k", 0.0),
+        simulated_seconds=0.0,
+    )
+
+
 class Merger(Protocol):
     """Any §III/§IV algorithm: BL, PS, LCB or TMerge (batched or not)."""
 
@@ -114,30 +126,72 @@ def merger_with_batch_size(merger: Merger, batch_size: int | None) -> Merger:
     return clone
 
 
-def merger_with_ledger(
-    merger: Merger, ledger: DecisionLedger | None
-) -> Merger:
-    """Shallow-copy ``merger`` with a decision ledger attached.
+def build_window_runtime(
+    world: VideoGroundTruth,
+    model_seed: int | np.random.SeedSequence,
+    cost_params: CostParams | None,
+    fault_profile: FaultProfile | None,
+    resilience: ResilienceConfig | None,
+    telemetry: Telemetry,
+    *,
+    call_rng: np.random.Generator | None = None,
+    corruption_rng: np.random.Generator | None = None,
+    crash_rng: np.random.Generator | None = None,
+) -> tuple[
+    CostModel, ReidScorer | ResilientReidScorer, WindowCrashInjector | None
+]:
+    """Build the clock, scorer and crash seam that merge windows run on.
 
-    The run-level seam behind the pipeline/streaming ``ledger`` knobs,
-    mirroring :func:`merger_with_batch_size`: ``None`` leaves the merger
-    untouched; otherwise a shallow copy records into ``ledger`` (the
-    original merger is never mutated, and a configured checkpoint store
-    keeps being shared).
+    The one place a run's ReID runtime is assembled — the serial
+    pipeline (one runtime for all windows), every window of the
+    window-sharded engine and the streaming service, and the serial
+    :func:`~repro.experiments.sweeps.evaluate_merger` loop (one per
+    video).  Every part records into ``telemetry``: the cost model, the
+    fault injectors, the scorer and its circuit breaker, and the mergers
+    that run on the scorer.
 
-    Raises:
-        TypeError: if the merger has no ``ledger`` attribute (e.g. the
-            BL baseline, which makes no sampling decisions to record).
+    Args:
+        world: the simulated ground truth behind the ReID model.
+        model_seed: seed of the ReID extraction noise.
+        cost_params: simulated cost constants.
+        fault_profile: optional chaos configuration; wraps the model in
+            its call/corruption injectors and builds the window crasher.
+        resilience: when set, the scorer is a
+            :class:`~repro.resilience.ResilientReidScorer`.
+        telemetry: the run's (or window's) Telemetry.
+        call_rng: optional call-fault generator; ``None`` keeps the
+            profile's run-level stream.
+        corruption_rng: optional corruption generator, same convention.
+        crash_rng: optional crash-schedule generator, same convention.
+
+    Returns:
+        ``(cost, scorer, crasher)``; ``crasher`` is ``None`` unless the
+        profile crashes windows.
     """
-    if ledger is None:
-        return merger
-    if not hasattr(merger, "ledger"):
-        raise TypeError(
-            f"merger {merger.name!r} does not support a decision ledger"
+    cost = CostModel(cost_params, telemetry=telemetry)
+    model = SimReIDModel(world, seed=model_seed)
+    if fault_profile is not None and fault_profile.injects_reid_faults:
+        model = fault_profile.wrap_model(
+            model,
+            call_rng=call_rng,
+            corruption_rng=corruption_rng,
+            telemetry=telemetry,
         )
-    clone = copy.copy(merger)
-    clone.ledger = ledger
-    return clone
+    scorer: ReidScorer | ResilientReidScorer = ReidScorer(
+        model, cost=cost, telemetry=telemetry
+    )
+    if resilience is not None:
+        scorer = ResilientReidScorer(
+            scorer,
+            retry=resilience.retry,
+            breaker_policy=resilience.breaker,
+        )
+    crasher = None
+    if fault_profile is not None and fault_profile.window_crash_rate > 0:
+        crasher = fault_profile.window_crasher(
+            rng=crash_rng, telemetry=telemetry
+        )
+    return cost, scorer, crasher
 
 
 def run_resilient_window(
@@ -156,7 +210,8 @@ def run_resilient_window(
     restarting the window's sampling otherwise); a ReID outage the merger
     does not handle internally falls back to the spatial-prior candidate
     set with ``degraded=True``.  With ``resilience=None`` this is exactly
-    ``merger.run(pairs, scorer)``.
+    ``merger.run(pairs, scorer)``.  Fault interventions are recorded as
+    decision events through the scorer's Telemetry.
 
     Args:
         merger: the algorithm under test.
@@ -173,7 +228,7 @@ def run_resilient_window(
 
     armed = crasher.arm(index) if crasher is not None else None
     checkpointed = getattr(merger, "checkpoint_store", None)
-    ledger = getattr(merger, "ledger", None)
+    telemetry = scorer.telemetry
 
     def attempt() -> MergeResult:
         if armed is not None and armed.fired and checkpointed is None:
@@ -199,16 +254,15 @@ def run_resilient_window(
     try:
         result = retry_call(attempt, policy, cost)
     except REID_UNAVAILABLE:
-        if ledger is not None:
-            ledger.record(EVENT_FAULT, reason="spatial_fallback")
+        telemetry.record(EVENT_FAULT, reason="spatial_fallback")
         return spatial_fallback_result(
             merger, pairs, cost.seconds - window_start
         )
-    if ledger is not None and armed is not None and armed.fired:
+    if armed is not None and armed.fired:
         # Recorded after the merge completes (never wiped by a mid-run
         # ledger restore): this window's worker crashed and the retry
         # either resumed from a checkpoint or restarted from scratch.
-        ledger.record(
+        telemetry.record(
             EVENT_FAULT,
             reason="window_crash",
             resumed=checkpointed is not None,
@@ -335,14 +389,15 @@ class IngestionPipeline:
             The merger itself is never mutated — each run works on a
             configured copy.
         ledger: optional injected
-            :class:`~repro.provenance.DecisionLedger`.  When set, the
-            run's merger records one decision event per TMerge
-            iteration, ULB pass, degradation and fault intervention,
-            stamped with the owning window index (serial path: the
-            shared ledger follows the window loop; ``workers`` path:
-            per-window worker ledgers are absorbed in window-index
-            order).  Pure observation — results are bit-identical with
-            it on or off (``tests/test_provenance_equivalence.py``).
+            :class:`~repro.provenance.DecisionLedger`.  When set, it
+            rides on the run's Telemetry and the merger records one
+            decision event per TMerge iteration, ULB pass, degradation
+            and fault intervention, stamped with the owning window index
+            (serial path: the shared ledger follows the window loop;
+            ``workers`` path: per-window worker ledgers are absorbed in
+            window-index order).  Pure observation — results are
+            bit-identical with it on or off
+            (``tests/test_provenance_equivalence.py``).
     """
 
     tracker: Tracker
@@ -362,16 +417,6 @@ class IngestionPipeline:
     batch_size: int | None = None
     ledger: DecisionLedger | None = None
 
-    def _effective_merger(self) -> Merger:
-        """The merger this run executes (batch + ledger overrides)."""
-        merger = merger_with_batch_size(self.merger, self.batch_size)
-        if self.workers is None:
-            # Serial path: the shared run ledger records in-process.
-            # The workers path ships per-window ledgers instead (the
-            # prototype crossing the pool seam must stay detached).
-            merger = merger_with_ledger(merger, self.ledger)
-        return merger
-
     def _resilience(self) -> ResilienceConfig | None:
         """The effective resilience config (auto-on under a fault profile)."""
         if self.resilience is not None:
@@ -387,9 +432,9 @@ class IngestionPipeline:
             self.fault_profile is not None
             and self.fault_profile.frame_drop_rate > 0
         ):
-            frame_injector = self.fault_profile.frame_injector()
-            frame_injector.telemetry = self.telemetry
-            detections = frame_injector.apply(detections)
+            detections = self.fault_profile.frame_injector(
+                self.telemetry
+            ).apply(detections)
         tracks = self.tracker.run(detections)
         return self.run_on_tracks(world, detections, tracks)
 
@@ -400,112 +445,102 @@ class IngestionPipeline:
         tracks: list[Track],
     ) -> IngestionResult:
         """Ingest starting from precomputed tracks (lets experiments share
-        one tracker run across many merger configurations)."""
-        if self.workers is not None:
-            return self._run_sharded(world, detections, tracks)
-        merger = self._effective_merger()
-        telemetry = self.telemetry
-        cost = CostModel(self.cost_params, telemetry=telemetry)
-        if telemetry is not None:
-            telemetry.bind_clock(cost)
-        model = SimReIDModel(world, seed=self.reid_seed)
-        if (
-            self.fault_profile is not None
-            and self.fault_profile.injects_reid_faults
-        ):
-            model = self.fault_profile.wrap_model(model)
-            for injector in (model.call_injector, model.corruption_injector):
-                if injector is not None:
-                    injector.telemetry = telemetry
-        scorer: ReidScorer | ResilientReidScorer = ReidScorer(
-            model, cost=cost, telemetry=telemetry
-        )
-        resilience = self._resilience()
-        if resilience is not None:
-            scorer = ResilientReidScorer(
-                scorer,
-                retry=resilience.retry,
-                breaker_policy=resilience.breaker,
-            )
-        crasher = (
-            self.fault_profile.window_crasher()
-            if self.fault_profile is not None
-            and self.fault_profile.window_crash_rate > 0
-            else None
-        )
-        if crasher is not None:
-            crasher.telemetry = telemetry
+        one tracker run across many merger configurations).
 
+        Both paths build windows and pair sets the same way; the
+        ``workers`` path then fans the per-window merge work out through
+        :func:`repro.parallel.run_windows` and reassembles it in index
+        order (see the ``workers`` attribute for the determinism regime).
+        """
+        # Imported lazily: repro.parallel imports this module.
+        from repro.parallel import run_windows
+
+        merger = merger_with_batch_size(self.merger, self.batch_size)
+        telemetry = Telemetry.for_run(self.telemetry, self.ledger)
+        resilience = self._resilience()
         windows = partition_windows(
             world.n_frames, self.window_length, l_max=self.l_max
         )
         windowed = WindowedTracks.assign(tracks, windows)
-
-        window_pairs: list[list[TrackPair]] = []
-        window_results: list[MergeResult] = []
-        window_metrics: list[dict[str, float]] = []
-        ingest_span = (
-            telemetry.span(
-                "ingest",
-                method=merger.name,
-                n_windows=len(windows),
-                n_tracks=len(tracks),
+        window_pairs = [
+            build_track_pairs(
+                windowed.tracks_of(c), windowed.previous_tracks_of(c)
             )
-            if telemetry is not None
-            else nullcontext()
+            for c in range(len(windows))
+        ]
+        ingest = dict(
+            method=merger.name, n_windows=len(windows), n_tracks=len(tracks)
         )
-        with ingest_span:
-            for c in range(len(windows)):
-                pairs = build_track_pairs(
-                    windowed.tracks_of(c), windowed.previous_tracks_of(c)
+        if self.workers is not None:
+            with telemetry.span(
+                "ingest",
+                **ingest,
+                workers=self.workers,
+                backend=self.parallel_backend,
+            ):
+                run = run_windows(
+                    world=world,
+                    window_pairs=window_pairs,
+                    merger=merger,
+                    cost_params=self.cost_params,
+                    reid_seed=self.reid_seed,
+                    fault_profile=self.fault_profile,
+                    resilience=resilience,
+                    n_workers=self.workers,
+                    backend=self.parallel_backend,
+                    telemetry=self.telemetry,
+                    ledger=self.ledger,
                 )
-                window_pairs.append(pairs)
-                before = (
-                    telemetry.metrics.counters_snapshot()
-                    if telemetry is not None
-                    else None
-                )
-                window_span = (
-                    telemetry.span("window", window_id=c, n_pairs=len(pairs))
-                    if telemetry is not None
-                    else nullcontext()
-                )
-                if self.ledger is not None:
-                    self.ledger.begin_window(c)
-                with window_span:
-                    if pairs:
-                        result = self._run_window(
-                            merger, c, pairs, scorer, cost, resilience,
-                            crasher,
-                        )
-                        if contracts.ENABLED:
-                            contracts.check_top_k_budget(
-                                len(result.candidates),
-                                len(pairs),
-                                where="IngestionPipeline",
+            telemetry.bind_clock(run.cost)
+            cost, window_results = run.cost, run.window_results
+            resilience_stats = run.resilience_stats
+            window_metrics = run.window_metrics
+        else:
+            cost, scorer, crasher = build_window_runtime(
+                world,
+                self.reid_seed,
+                self.cost_params,
+                self.fault_profile,
+                resilience,
+                telemetry,
+            )
+            window_results: list[MergeResult] = []
+            window_metrics: list[dict[str, float]] = []
+            with telemetry.span("ingest", **ingest):
+                for c, pairs in enumerate(window_pairs):
+                    before = telemetry.metrics.counters_snapshot()
+                    telemetry.begin_window(c)
+                    with telemetry.span(
+                        "window", window_id=c, n_pairs=len(pairs)
+                    ):
+                        if pairs:
+                            result = run_resilient_window(
+                                merger, c, pairs, scorer, cost, resilience,
+                                crasher,
                             )
+                            if contracts.ENABLED:
+                                contracts.check_top_k_budget(
+                                    len(result.candidates),
+                                    len(pairs),
+                                    where="IngestionPipeline",
+                                )
+                        else:
+                            result = empty_merge_result(merger)
                         window_results.append(result)
-                    else:
-                        window_results.append(
-                            MergeResult(
-                                method=merger.name,
-                                candidates=[],
-                                scores={},
-                                n_pairs=0,
-                                k=getattr(merger, "k", 0.0),
-                                simulated_seconds=0.0,
+                    telemetry.observe(
+                        "window.merge_ms", result.simulated_seconds * 1000.0
+                    )
+                    if self.telemetry is not None:
+                        window_metrics.append(
+                            MetricsRegistry.delta(
+                                telemetry.metrics.counters_snapshot(), before
                             )
                         )
-                if telemetry is not None:
-                    telemetry.observe(
-                        "window.merge_ms",
-                        window_results[-1].simulated_seconds * 1000.0,
-                    )
-                    window_metrics.append(
-                        MetricsRegistry.delta(
-                            telemetry.metrics.counters_snapshot(), before
-                        )
-                    )
+            resilience_stats = (
+                scorer.stats()
+                if isinstance(scorer, ResilientReidScorer)
+                else {}
+            )
 
         selected = self._select_keys(window_results)
         merged, id_map = merge_tracks(tracks, selected)
@@ -519,11 +554,7 @@ class IngestionPipeline:
             merged_tracks=merged,
             id_map=id_map,
             cost=cost,
-            resilience_stats=(
-                scorer.stats()
-                if isinstance(scorer, ResilientReidScorer)
-                else {}
-            ),
+            resilience_stats=resilience_stats,
             window_metrics=window_metrics,
         )
 
@@ -540,91 +571,3 @@ class IngestionPipeline:
                     continue
                 selected.append(key)
         return selected
-
-    def _run_sharded(
-        self,
-        world: VideoGroundTruth,
-        detections: list[list[Detection]],
-        tracks: list[Track],
-    ) -> IngestionResult:
-        """The ``workers`` path: window-sharded engine, window-local seeds.
-
-        Windows and pair sets are built exactly as on the serial path;
-        the per-window merge work is then fanned out through
-        :func:`repro.parallel.run_windows` and reassembled in index
-        order.  See the ``workers`` attribute docstring for the
-        determinism regime.
-        """
-        # Imported lazily: repro.parallel imports this module.
-        from repro.parallel import run_windows
-
-        merger = self._effective_merger()
-        telemetry = self.telemetry
-        windows = partition_windows(
-            world.n_frames, self.window_length, l_max=self.l_max
-        )
-        windowed = WindowedTracks.assign(tracks, windows)
-        window_pairs = [
-            build_track_pairs(
-                windowed.tracks_of(c), windowed.previous_tracks_of(c)
-            )
-            for c in range(len(windows))
-        ]
-        ingest_span = (
-            telemetry.span(
-                "ingest",
-                method=merger.name,
-                n_windows=len(windows),
-                n_tracks=len(tracks),
-                workers=self.workers,
-                backend=self.parallel_backend,
-            )
-            if telemetry is not None
-            else nullcontext()
-        )
-        with ingest_span:
-            run = run_windows(
-                world=world,
-                window_pairs=window_pairs,
-                merger=merger,
-                cost_params=self.cost_params,
-                reid_seed=self.reid_seed,
-                fault_profile=self.fault_profile,
-                resilience=self._resilience(),
-                n_workers=self.workers,
-                backend=self.parallel_backend,
-                telemetry=telemetry,
-                ledger=self.ledger,
-            )
-        if telemetry is not None:
-            telemetry.bind_clock(run.cost)
-        selected = self._select_keys(run.window_results)
-        merged, id_map = merge_tracks(tracks, selected)
-        return IngestionResult(
-            world=world,
-            detections=detections,
-            tracks=tracks,
-            windows=windows,
-            window_pairs=window_pairs,
-            window_results=run.window_results,
-            merged_tracks=merged,
-            id_map=id_map,
-            cost=run.cost,
-            resilience_stats=run.resilience_stats,
-            window_metrics=run.window_metrics,
-        )
-
-    def _run_window(
-        self,
-        merger: Merger,
-        index: int,
-        pairs: list[TrackPair],
-        scorer: ReidScorer | ResilientReidScorer,
-        cost: CostModel,
-        resilience: ResilienceConfig | None,
-        crasher,
-    ) -> MergeResult:
-        """Run the merger on one window through the resilience seam."""
-        return run_resilient_window(
-            merger, index, pairs, scorer, cost, resilience, crasher
-        )

@@ -51,7 +51,7 @@ from repro.resilience import (
     restore_generator_state,
     restore_scorer_state,
 )
-from repro.telemetry import Telemetry, profiled
+from repro.telemetry import Telemetry
 
 #: Checkpoint payload schema version; a resume accepts only this one.
 #: The payload records the effective batch size, so a resume with a
@@ -91,22 +91,17 @@ class TMerge:
             :class:`~repro.resilience.checkpoint.CheckpointStore` holding
             snapshots; an initial snapshot is always written at τ=0 so
             even an early crash rewinds the simulated clock correctly.
-        telemetry: optional injected :class:`~repro.telemetry.Telemetry`.
-            When ``None`` the run falls back to the scorer's sink, so the
-            bandit's counters (``tmerge.thompson_draws``,
-            ``ulb.accepted`` …) land next to the ReID-cost counters
-            without any extra plumbing.  Telemetry never touches the RNG
-            or the simulated clock: results are bit-identical with it on
-            or off.
-        ledger: optional injected
-            :class:`~repro.provenance.DecisionLedger` recording one
-            decision event per iteration, ULB pass and degradation
-            (DESIGN.md §14).  Like telemetry it is pure observation —
-            recording never consumes the RNG stream or touches the
-            simulated clock, so ledger-enabled runs are bit-identical
-            to plain ones.  The ledger state rides inside checkpoints,
-            so a killed-and-resumed window reconstructs its decision log
-            bit-exactly.
+
+    A run observes through the Telemetry of the scorer it is handed
+    (:attr:`ReidScorer.telemetry <repro.reid.scorer.ReidScorer.telemetry>`):
+    the bandit's counters (``tmerge.thompson_draws``, ``ulb.accepted`` …)
+    land next to the ReID-cost counters, and when that Telemetry carries
+    a :class:`~repro.provenance.DecisionLedger` the run records one
+    decision event per iteration, ULB pass and degradation (DESIGN.md
+    §14).  Observation never consumes the RNG stream or touches the
+    simulated clock, so results are bit-identical with it on or off.
+    The ledger state rides inside checkpoints, so a killed-and-resumed
+    window reconstructs its decision log bit-exactly.
     """
 
     def __init__(
@@ -122,8 +117,6 @@ class TMerge:
         s_min: float | None = None,
         checkpoint_interval: int | None = None,
         checkpoint_store: CheckpointStore | None = None,
-        telemetry: Telemetry | None = None,
-        ledger: DecisionLedger | None = None,
     ) -> None:
         if not 0.0 <= k <= 1.0:
             raise ValueError("k must be in [0, 1]")
@@ -150,8 +143,6 @@ class TMerge:
         self.s_min = s_min
         self.checkpoint_interval = checkpoint_interval
         self.checkpoint_store = checkpoint_store
-        self.telemetry = telemetry
-        self.ledger = ledger
 
     @property
     def name(self) -> str:
@@ -175,7 +166,6 @@ class TMerge:
         return self.batch_size
 
     # ------------------------------------------------------------------
-    @profiled
     def run(self, pairs: list[TrackPair], scorer: ReidScorer) -> MergeResult:
         """Identify the estimated top-⌈K·|P_c|⌉ polyonymous candidates.
 
@@ -187,11 +177,7 @@ class TMerge:
         best candidates supportable by the evidence gathered so far, with
         ``degraded=True``.
         """
-        telemetry = self.telemetry
-        if telemetry is None:
-            telemetry = getattr(scorer, "telemetry", None)
-        if telemetry is None:
-            return self._run(pairs, scorer, None)
+        telemetry = scorer.telemetry
         telemetry.bind_clock(scorer.cost)
         with telemetry.span(
             "tmerge.run", method=self.name, n_pairs=len(pairs)
@@ -202,7 +188,7 @@ class TMerge:
         self,
         pairs: list[TrackPair],
         scorer: ReidScorer,
-        telemetry: Telemetry | None,
+        telemetry: Telemetry,
     ) -> MergeResult:
         """The sampling loop behind :meth:`run` (one traced span)."""
         rng = np.random.default_rng(self.seed)
@@ -220,14 +206,10 @@ class TMerge:
         sums = np.zeros(n)
         counts = np.zeros(n, dtype=np.int64)
         eligible = np.array([p.n_bbox_pairs > 0 for p in pairs])
-        ledger = self.ledger
+        ledger = telemetry.ledger
         pruner = (
             UlbPruner(
-                n,
-                budget,
-                radius_scale=self.ulb_scale,
-                telemetry=telemetry,
-                ledger=ledger,
+                n, budget, radius_scale=self.ulb_scale, telemetry=telemetry
             )
             if self.use_ulb
             else None
@@ -235,18 +217,17 @@ class TMerge:
         regret = RegretTracker(self.s_min) if self.s_min is not None else None
 
         window_key = [list(pair.key) for pair in pairs]
-        if ledger is not None:
-            # Recorded *before* any checkpoint restore: a resume's
-            # ledger.load_state_dict overwrites this re-recorded event
-            # with the snapshot's log, so crash-retry never duplicates.
-            ledger.record(
-                EVENT_WINDOW,
-                pairs=window_key,
-                n_pairs=n,
-                budget=budget,
-                batch=self._effective_batch,
-                seed=self.seed,
-            )
+        # Recorded *before* any checkpoint restore: a resume's
+        # ledger.load_state_dict overwrites this re-recorded event with
+        # the snapshot's log, so crash-retry never duplicates.
+        telemetry.record(
+            EVENT_WINDOW,
+            pairs=window_key,
+            n_pairs=n,
+            budget=budget,
+            batch=self._effective_batch,
+            seed=self.seed,
+        )
 
         def posterior_rows(arms: np.ndarray) -> list[list[float]]:
             # Snapshot of the recorded arms' [alpha, beta]; reads current
@@ -261,7 +242,7 @@ class TMerge:
         if self.checkpoint_store is not None:
             saved = self.checkpoint_store.load(window_key)
             if saved is not None:
-                self._check_checkpoint_compat(saved)
+                self._check_checkpoint_compat(saved, ledger)
                 tau0 = int(saved["tau"])
                 iterations = int(saved["iterations"])
                 start_seconds = float(saved["start_seconds"])
@@ -288,6 +269,7 @@ class TMerge:
                     self._checkpoint_payload(
                         0, 0, start_seconds, pairs, successes, failures,
                         sums, counts, eligible, pruner, regret, rng, scorer,
+                        ledger,
                     ),
                 )
 
@@ -300,21 +282,18 @@ class TMerge:
             selected, theta_sel = self._select_arms(
                 live, successes, failures, rng
             )
-            if telemetry is not None:
-                # One posterior draw per live arm per iteration, batched
-                # or not — this is the figure the bench gate watches
-                # alongside reid.invocations.
-                telemetry.count("tmerge.thompson_draws", live.size)
+            # One posterior draw per live arm per iteration, batched or
+            # not — this is the figure the bench gate watches alongside
+            # reid.invocations.
+            telemetry.count("tmerge.thompson_draws", live.size)
             try:
                 owners, d_norms = self._evaluate(pairs, selected, scorer, rng)
             except REID_UNAVAILABLE:
                 degraded = True
-                if telemetry is not None:
-                    telemetry.count("tmerge.degraded_windows")
-                if ledger is not None:
-                    ledger.record(
-                        EVENT_DEGRADE, tau=tau, reason="reid_unavailable"
-                    )
+                telemetry.count("tmerge.degraded_windows")
+                telemetry.record(
+                    EVENT_DEGRADE, tau=tau, reason="reid_unavailable"
+                )
                 break
             post_before = (
                 posterior_rows(owners) if ledger is not None else None
@@ -358,8 +337,7 @@ class TMerge:
 
             scorer.cost.charge_overhead(1)
             iterations = tau
-            if telemetry is not None:
-                telemetry.count("tmerge.iterations")
+            telemetry.count("tmerge.iterations")
 
             if pruner is not None and tau % self.ulb_interval == 0:
                 means = np.where(counts > 0, sums / np.maximum(counts, 1), 0.5)
@@ -381,7 +359,7 @@ class TMerge:
                     self._checkpoint_payload(
                         tau, iterations, start_seconds, pairs, successes,
                         failures, sums, counts, eligible, pruner, regret,
-                        rng, scorer,
+                        rng, scorer, ledger,
                     ),
                 )
 
@@ -398,6 +376,7 @@ class TMerge:
             iterations,
             regret,
             degraded,
+            telemetry,
         )
 
     def _checkpoint_payload(
@@ -415,6 +394,7 @@ class TMerge:
         regret: RegretTracker | None,
         rng: np.random.Generator,
         scorer: ReidScorer,
+        ledger: DecisionLedger | None,
     ) -> dict:
         """Full pure-JSON snapshot of a mid-window run (see DESIGN.md §7)."""
         return {
@@ -433,12 +413,12 @@ class TMerge:
             "regret": regret.state_dict() if regret is not None else None,
             "rng": encode_generator_state(rng),
             "scorer": capture_scorer_state(scorer),
-            "ledger": (
-                self.ledger.state_dict() if self.ledger is not None else None
-            ),
+            "ledger": ledger.state_dict() if ledger is not None else None,
         }
 
-    def _check_checkpoint_compat(self, saved: dict) -> None:
+    def _check_checkpoint_compat(
+        self, saved: dict, ledger: DecisionLedger | None
+    ) -> None:
         """Refuse to resume a snapshot this configuration cannot honour.
 
         Only :data:`CHECKPOINT_VERSION` payloads resume; any other
@@ -459,7 +439,7 @@ class TMerge:
                 f"checkpoint version {version!r} is not supported: this "
                 f"TMerge build resumes only version {CHECKPOINT_VERSION}"
             )
-        if self.ledger is not None and saved.get("ledger") is None:
+        if ledger is not None and saved.get("ledger") is None:
             raise ValueError(
                 "checkpoint carries no decision-ledger state; resuming it "
                 "with a ledger attached would silently drop every "
@@ -562,7 +542,8 @@ class TMerge:
         elapsed: float,
         iterations: int,
         regret: RegretTracker | None,
-        degraded: bool = False,
+        degraded: bool,
+        telemetry: Telemetry,
     ) -> MergeResult:
         """Rank by posterior mean, honouring ULB accept/reject verdicts.
 
@@ -605,17 +586,16 @@ class TMerge:
             extra["average_regret"] = regret.average
             extra["cumulative_regret"] = regret.cumulative
 
-        if self.ledger is not None:
-            self.ledger.record(
-                EVENT_FINAL,
-                chosen=[int(i) for i in chosen],
-                means=[float(m) for m in posterior_means],
-                ulb_accepted=sorted(int(a) for a in accepted),
-                ulb_rejected=sorted(int(a) for a in rejected),
-                n_pairs=len(pairs),
-                iterations=int(iterations),
-                degraded=bool(degraded),
-            )
+        telemetry.record(
+            EVENT_FINAL,
+            chosen=[int(i) for i in chosen],
+            means=[float(m) for m in posterior_means],
+            ulb_accepted=sorted(int(a) for a in accepted),
+            ulb_rejected=sorted(int(a) for a in rejected),
+            n_pairs=len(pairs),
+            iterations=int(iterations),
+            degraded=bool(degraded),
+        )
 
         return MergeResult(
             method=self.name,

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from repro import contracts
-from repro.provenance import EVENT_ULB, DecisionLedger
+from repro.provenance import EVENT_ULB
 from repro.telemetry import Telemetry
 
 
@@ -58,14 +58,14 @@ class UlbPruner:
             counts.  Values < 1 correspond to a sub-Gaussian radius with
             σ = radius_scale (an empirical-Bernstein-style tightening) and
             make the mechanism observable; the Figure 8 ablation uses this.
-        telemetry: optional injected :class:`~repro.telemetry.Telemetry`
-            mirroring prune verdicts into the ``ulb.passes`` /
-            ``ulb.accepted`` / ``ulb.rejected`` counters.
-        ledger: optional injected
-            :class:`~repro.provenance.DecisionLedger` recording one
-            ``ulb`` event per pass that changed the partition (newly
-            accepted/rejected arms with the Hoeffding radii in force).
-            Pure observation — never affects pruning decisions.
+        telemetry: the owning TMerge run's
+            :class:`~repro.telemetry.Telemetry` (a private one when
+            omitted).  Prune verdicts land in the ``ulb.passes`` /
+            ``ulb.accepted`` / ``ulb.rejected`` counters, and each pass
+            that changed the partition records one ``ulb`` decision
+            event (newly accepted/rejected arms with the Hoeffding radii
+            in force) on its ledger.  Pure observation — never affects
+            pruning decisions.
     """
 
     def __init__(
@@ -74,7 +74,6 @@ class UlbPruner:
         k_count: int,
         radius_scale: float = 1.0,
         telemetry: Telemetry | None = None,
-        ledger: DecisionLedger | None = None,
     ) -> None:
         if n_arms < 0:
             raise ValueError("n_arms must be non-negative")
@@ -85,8 +84,7 @@ class UlbPruner:
         self.n_arms = n_arms
         self.k_count = k_count
         self.radius_scale = radius_scale
-        self.telemetry = telemetry
-        self.ledger = ledger
+        self.telemetry = telemetry or Telemetry()
         self.accepted: set[int] = set()
         self.rejected: set[int] = set()
         #: Non-finite running means clamped by :meth:`update` (only ever
@@ -143,10 +141,7 @@ class UlbPruner:
                     f"{np.nonzero(bad)[0].tolist()}"
                 )
             self.n_nonfinite_clamped += int(bad.sum())
-            if self.telemetry is not None:
-                self.telemetry.count(
-                    "ulb.nonfinite_clamped", int(bad.sum())
-                )
+            self.telemetry.count("ulb.nonfinite_clamped", int(bad.sum()))
             means = np.where(bad, 1.0, means)
         radii = self.radius_scale * hoeffding_radii(total_rounds, pulls)
         uppers = means + radii
@@ -193,9 +188,10 @@ class UlbPruner:
 
         self.accepted |= newly_accepted
         self.rejected |= newly_rejected
-        if self.ledger is not None and (newly_accepted or newly_rejected):
+        telemetry = self.telemetry
+        if newly_accepted or newly_rejected:
             changed = sorted(newly_accepted | newly_rejected)
-            self.ledger.record(
+            telemetry.record(
                 EVENT_ULB,
                 tau=int(total_rounds),
                 accepted=sorted(newly_accepted),
@@ -203,12 +199,11 @@ class UlbPruner:
                 radius={str(arm): float(radii[arm]) for arm in changed},
                 k_count=self.k_count,
             )
-        if self.telemetry is not None:
-            self.telemetry.count("ulb.passes")
-            if newly_accepted:
-                self.telemetry.count("ulb.accepted", len(newly_accepted))
-            if newly_rejected:
-                self.telemetry.count("ulb.rejected", len(newly_rejected))
+        telemetry.count("ulb.passes")
+        if newly_accepted:
+            telemetry.count("ulb.accepted", len(newly_accepted))
+        if newly_rejected:
+            telemetry.count("ulb.rejected", len(newly_rejected))
         if contracts.ENABLED:
             contracts.check_ulb_partition(
                 self.accepted, self.rejected, self.n_arms, where="UlbPruner"

@@ -7,15 +7,17 @@ from typing import Callable
 
 from repro.core.pipeline import (
     Merger,
-    merger_with_ledger,
+    build_window_runtime,
     run_resilient_window,
 )
-from repro.provenance import DecisionLedger
+from repro.core.results import MergeResult
 from repro.experiments.prep import PreparedVideo
 from repro.faults.profiles import FaultProfile
 from repro.metrics.recall import window_recall
-from repro.reid import CostParams, ReidScorer, SimReIDModel
-from repro.resilience import ResilienceConfig, ResilientReidScorer
+from repro.parallel import run_windows
+from repro.provenance import DecisionLedger
+from repro.reid import CostParams
+from repro.resilience import ResilienceConfig
 from repro.telemetry import Telemetry
 
 MergerFactory = Callable[[], Merger]
@@ -83,11 +85,11 @@ def evaluate_merger(
             with it on or off.
         ledger: optional injected
             :class:`~repro.provenance.DecisionLedger` shared across all
-            videos (window stamps restart at 0 per video).  Purely
-            observational like ``telemetry`` — results are bit-identical
-            with it on or off (``benchmarks/test_ledger_overhead.py``
-            measures the wall-clock price and asserts the zero
-            simulated-clock price).
+            videos, riding on the run's Telemetry (window stamps restart
+            at 0 per video).  Purely observational like ``telemetry`` —
+            results are bit-identical with it on or off
+            (``benchmarks/test_ledger_overhead.py`` measures the
+            wall-clock price and asserts the zero simulated-clock price).
         workers: ``None`` (default) keeps the serial per-video loop;
             an integer routes every video through the window-sharded
             engine (:func:`repro.parallel.run_windows`) with that many
@@ -99,113 +101,7 @@ def evaluate_merger(
     """
     if resilience is None and fault_profile is not None:
         resilience = ResilienceConfig()
-    if workers is not None:
-        return _evaluate_merger_sharded(
-            factory,
-            videos,
-            reid_seed=reid_seed,
-            cost_params=cost_params,
-            parameter=parameter,
-            fault_profile=fault_profile,
-            resilience=resilience,
-            telemetry=telemetry,
-            ledger=ledger,
-            workers=workers,
-            parallel_backend=parallel_backend,
-        )
-    recs: list[float] = []
-    total_seconds = 0.0
-    total_frames = 0
-    degraded_windows = 0
-    reid_invocations = 0
-    method = ""
-    for video in videos:
-        video.reset_sampling()
-        merger = merger_with_ledger(factory(), ledger)
-        method = merger.name
-        from repro.reid import CostModel  # local import to avoid cycle noise
-
-        cost = CostModel(cost_params, telemetry=telemetry)
-        if telemetry is not None:
-            telemetry.bind_clock(cost)
-        model = SimReIDModel(video.world, seed=reid_seed)
-        if fault_profile is not None and fault_profile.injects_reid_faults:
-            model = fault_profile.wrap_model(model)
-            for injector in (model.call_injector, model.corruption_injector):
-                if injector is not None:
-                    injector.telemetry = telemetry
-        scorer: ReidScorer | ResilientReidScorer = ReidScorer(
-            model, cost=cost, telemetry=telemetry
-        )
-        if resilience is not None:
-            scorer = ResilientReidScorer(
-                scorer,
-                retry=resilience.retry,
-                breaker_policy=resilience.breaker,
-            )
-        crasher = (
-            fault_profile.window_crasher()
-            if fault_profile is not None
-            and fault_profile.window_crash_rate > 0
-            else None
-        )
-        if crasher is not None:
-            crasher.telemetry = telemetry
-        for index, (pairs, gt_keys) in enumerate(
-            zip(video.window_pairs, video.window_gt)
-        ):
-            if not pairs:
-                continue
-            if ledger is not None:
-                ledger.begin_window(index)
-            result = run_resilient_window(
-                merger, index, pairs, scorer, cost, resilience, crasher
-            )
-            if result.degraded:
-                degraded_windows += 1
-            rec = window_recall(result.candidate_keys, gt_keys)
-            if rec is not None:
-                recs.append(rec)
-        total_seconds += cost.seconds
-        total_frames += video.n_frames
-        reid_invocations += cost.n_extractions + cost.n_batched_extractions
-
-    avg_rec = sum(recs) / len(recs) if recs else 1.0
-    fps = total_frames / total_seconds if total_seconds > 0 else float("inf")
-    return MethodPoint(
-        method=method,
-        rec=avg_rec,
-        fps=fps,
-        simulated_seconds=total_seconds,
-        parameter=parameter,
-        degraded_windows=degraded_windows,
-        reid_invocations=reid_invocations,
-    )
-
-
-def _evaluate_merger_sharded(
-    factory: MergerFactory,
-    videos: list[PreparedVideo],
-    reid_seed: int,
-    cost_params: CostParams | None,
-    parameter: float | None,
-    fault_profile: FaultProfile | None,
-    resilience: ResilienceConfig | None,
-    telemetry: Telemetry | None,
-    ledger: DecisionLedger | None,
-    workers: int,
-    parallel_backend: str,
-) -> MethodPoint:
-    """The ``workers`` path of :func:`evaluate_merger`.
-
-    Each video's windows run through the window-sharded engine under
-    the window-local determinism regime (see :mod:`repro.parallel`);
-    the aggregation below mirrors the serial loop exactly, so for a
-    fixed seed the returned :class:`MethodPoint` is identical for every
-    worker count and backend.
-    """
-    from repro.parallel import run_windows
-
+    run_telemetry = Telemetry.for_run(telemetry, ledger)
     recs: list[float] = []
     total_seconds = 0.0
     total_frames = 0
@@ -216,21 +112,44 @@ def _evaluate_merger_sharded(
         video.reset_sampling()
         merger = factory()
         method = merger.name
-        run = run_windows(
-            world=video.world,
-            window_pairs=video.window_pairs,
-            merger=merger,
-            cost_params=cost_params,
-            reid_seed=reid_seed,
-            fault_profile=fault_profile,
-            resilience=resilience,
-            n_workers=workers,
-            backend=parallel_backend,
-            telemetry=telemetry,
-            ledger=ledger,
-        )
+        if workers is None:
+            cost, scorer, crasher = build_window_runtime(
+                video.world,
+                reid_seed,
+                cost_params,
+                fault_profile,
+                resilience,
+                run_telemetry,
+            )
+            results: list[MergeResult | None] = []
+            for index, pairs in enumerate(video.window_pairs):
+                if not pairs:
+                    results.append(None)
+                    continue
+                run_telemetry.begin_window(index)
+                results.append(
+                    run_resilient_window(
+                        merger, index, pairs, scorer, cost, resilience,
+                        crasher,
+                    )
+                )
+        else:
+            run = run_windows(
+                world=video.world,
+                window_pairs=video.window_pairs,
+                merger=merger,
+                cost_params=cost_params,
+                reid_seed=reid_seed,
+                fault_profile=fault_profile,
+                resilience=resilience,
+                n_workers=workers,
+                backend=parallel_backend,
+                telemetry=telemetry,
+                ledger=ledger,
+            )
+            cost, results = run.cost, run.window_results
         for pairs, result, gt_keys in zip(
-            video.window_pairs, run.window_results, video.window_gt
+            video.window_pairs, results, video.window_gt
         ):
             if not pairs:
                 continue
@@ -239,11 +158,9 @@ def _evaluate_merger_sharded(
             rec = window_recall(result.candidate_keys, gt_keys)
             if rec is not None:
                 recs.append(rec)
-        total_seconds += run.cost.seconds
+        total_seconds += cost.seconds
         total_frames += video.n_frames
-        reid_invocations += (
-            run.cost.n_extractions + run.cost.n_batched_extractions
-        )
+        reid_invocations += cost.n_extractions + cost.n_batched_extractions
 
     avg_rec = sum(recs) / len(recs) if recs else 1.0
     fps = total_frames / total_seconds if total_seconds > 0 else float("inf")

@@ -28,6 +28,7 @@ from repro.faults.errors import (
     ReidTimeoutError,
     WindowCrashError,
 )
+from repro.telemetry import Telemetry
 
 
 class ReidCallFaultInjector:
@@ -39,6 +40,8 @@ class ReidCallFaultInjector:
         timeout_rate: per-call probability of a :class:`ReidTimeoutError`
             (evaluated after the failure draw misses).
         timeout_penalty_ms: simulated wait charged for each timeout.
+        telemetry: the run's :class:`~repro.telemetry.Telemetry`
+            counting injected faults (a private one when omitted).
     """
 
     def __init__(
@@ -47,6 +50,7 @@ class ReidCallFaultInjector:
         failure_rate: float = 0.0,
         timeout_rate: float = 0.0,
         timeout_penalty_ms: float = 50.0,
+        telemetry: Telemetry | None = None,
     ) -> None:
         if not 0.0 <= failure_rate <= 1.0:
             raise ValueError("failure_rate must be in [0, 1]")
@@ -60,23 +64,19 @@ class ReidCallFaultInjector:
         self.timeout_penalty_ms = timeout_penalty_ms
         self.n_failures = 0
         self.n_timeouts = 0
-        #: Optional injected :class:`~repro.telemetry.Telemetry`; set by
-        #: the run owner after construction (the profile builds injectors).
-        self.telemetry = None
+        self.telemetry = telemetry or Telemetry()
 
     def check(self) -> None:
         """Consult the schedule for one call; raise when it should fail."""
         if self.failure_rate > 0 and self.rng.random() < self.failure_rate:
             self.n_failures += 1
-            if self.telemetry is not None:
-                self.telemetry.count("faults.reid_failures")
+            self.telemetry.count("faults.reid_failures")
             raise ReidFaultError(
                 f"injected ReID failure #{self.n_failures}"
             )
         if self.timeout_rate > 0 and self.rng.random() < self.timeout_rate:
             self.n_timeouts += 1
-            if self.telemetry is not None:
-                self.telemetry.count("faults.reid_timeouts")
+            self.telemetry.count("faults.reid_timeouts")
             raise ReidTimeoutError(
                 f"injected ReID timeout #{self.n_timeouts}",
                 penalty_ms=self.timeout_penalty_ms,
@@ -104,6 +104,8 @@ class FeatureCorruptionInjector:
         rng: injected randomness source.
         rate: per-call corruption probability.
         mode: one of :data:`CORRUPTION_MODES`.
+        telemetry: the run's :class:`~repro.telemetry.Telemetry`
+            counting corruptions (a private one when omitted).
     """
 
     def __init__(
@@ -111,6 +113,7 @@ class FeatureCorruptionInjector:
         rng: np.random.Generator,
         rate: float = 0.0,
         mode: str = "nan",
+        telemetry: Telemetry | None = None,
     ) -> None:
         if not 0.0 <= rate <= 1.0:
             raise ValueError("rate must be in [0, 1]")
@@ -120,8 +123,7 @@ class FeatureCorruptionInjector:
         self.rate = rate
         self.mode = mode
         self.n_corrupted = 0
-        #: Optional injected :class:`~repro.telemetry.Telemetry`.
-        self.telemetry = None
+        self.telemetry = telemetry or Telemetry()
         self._previous: np.ndarray | None = None
 
     def corrupt(self, feature: np.ndarray) -> np.ndarray:
@@ -131,8 +133,7 @@ class FeatureCorruptionInjector:
         if self.rate <= 0 or self.rng.random() >= self.rate:
             return feature
         self.n_corrupted += 1
-        if self.telemetry is not None:
-            self.telemetry.count("faults.corrupted_features")
+        self.telemetry.count("faults.corrupted_features")
         if self.mode == "nan":
             return np.full_like(feature, np.nan)
         if stash is None or stash.shape != feature.shape:
@@ -150,16 +151,22 @@ class FrameDropInjector:
     Args:
         rng: injected randomness source.
         rate: per-frame drop probability.
+        telemetry: the run's :class:`~repro.telemetry.Telemetry`
+            counting dropped frames (a private one when omitted).
     """
 
-    def __init__(self, rng: np.random.Generator, rate: float = 0.0) -> None:
+    def __init__(
+        self,
+        rng: np.random.Generator,
+        rate: float = 0.0,
+        telemetry: Telemetry | None = None,
+    ) -> None:
         if not 0.0 <= rate <= 1.0:
             raise ValueError("rate must be in [0, 1]")
         self.rng = rng
         self.rate = rate
         self.n_dropped = 0
-        #: Optional injected :class:`~repro.telemetry.Telemetry`.
-        self.telemetry = None
+        self.telemetry = telemetry or Telemetry()
 
     def apply(self, frames: list[list]) -> list[list]:
         """Return a copy of ``frames`` with a seeded subset blanked."""
@@ -169,8 +176,7 @@ class FrameDropInjector:
         for frame in frames:
             if self.rng.random() < self.rate:
                 self.n_dropped += 1
-                if self.telemetry is not None:
-                    self.telemetry.count("faults.dropped_frames")
+                self.telemetry.count("faults.dropped_frames")
                 out.append([])
             else:
                 out.append(list(frame))
@@ -212,6 +218,8 @@ class WindowCrashInjector:
         crash_rate: per-window probability of a crash.
         min_calls: earliest scorer call at which a crash may fire.
         max_calls: latest scorer call at which a crash may fire.
+        telemetry: the run's :class:`~repro.telemetry.Telemetry`
+            counting armed crashes (a private one when omitted).
     """
 
     def __init__(
@@ -220,6 +228,7 @@ class WindowCrashInjector:
         crash_rate: float = 0.0,
         min_calls: int = 5,
         max_calls: int = 200,
+        telemetry: Telemetry | None = None,
     ) -> None:
         if not 0.0 <= crash_rate <= 1.0:
             raise ValueError("crash_rate must be in [0, 1]")
@@ -230,8 +239,7 @@ class WindowCrashInjector:
         self.min_calls = min_calls
         self.max_calls = max_calls
         self.n_armed = 0
-        #: Optional injected :class:`~repro.telemetry.Telemetry`.
-        self.telemetry = None
+        self.telemetry = telemetry or Telemetry()
 
     def arm(self, window_index: int) -> ArmedCrash | None:
         """Draw this window's fate; return a countdown or ``None``."""
@@ -239,8 +247,7 @@ class WindowCrashInjector:
             return None
         calls = int(self.rng.integers(self.min_calls, self.max_calls + 1))
         self.n_armed += 1
-        if self.telemetry is not None:
-            self.telemetry.count("faults.armed_crashes")
+        self.telemetry.count("faults.armed_crashes")
         return ArmedCrash(calls, window_index)
 
 

@@ -32,6 +32,7 @@ from repro.faults.injectors import (
     ReidCallFaultInjector,
     WindowCrashInjector,
 )
+from repro.telemetry import Telemetry
 
 #: Stable child-stream indices, one per injection seam.  Appending new
 #: seams keeps existing schedules byte-stable.
@@ -158,6 +159,7 @@ class FaultProfile:
         model,
         call_rng: np.random.Generator | None = None,
         corruption_rng: np.random.Generator | None = None,
+        telemetry: Telemetry | None = None,
     ) -> FaultyReidModel:
         """Wrap a ReID model with this profile's call/feature injectors.
 
@@ -168,6 +170,7 @@ class FaultProfile:
                 defaults to the profile's run-level seam stream.
             corruption_rng: optional override of the corruption
                 generator, same convention.
+            telemetry: the run's Telemetry, counting injected faults.
         """
         call = None
         if self.reid_failure_rate > 0 or self.reid_timeout_rate > 0:
@@ -176,6 +179,7 @@ class FaultProfile:
                 failure_rate=self.reid_failure_rate,
                 timeout_rate=self.reid_timeout_rate,
                 timeout_penalty_ms=self.timeout_penalty_ms,
+                telemetry=telemetry,
             )
         corruption = None
         if self.corrupt_rate > 0:
@@ -185,19 +189,27 @@ class FaultProfile:
                 else self._rng(_STREAM_CORRUPT),
                 rate=self.corrupt_rate,
                 mode=self.corrupt_mode,
+                telemetry=telemetry,
             )
         return FaultyReidModel(
             model, call_injector=call, corruption_injector=corruption
         )
 
-    def frame_injector(self) -> FrameDropInjector:
-        """A fresh frame-drop injector on this profile's schedule."""
+    def frame_injector(
+        self, telemetry: Telemetry | None = None
+    ) -> FrameDropInjector:
+        """A fresh frame-drop injector on this profile's schedule,
+        counting drops into ``telemetry``."""
         return FrameDropInjector(
-            self._rng(_STREAM_FRAMES), rate=self.frame_drop_rate
+            self._rng(_STREAM_FRAMES),
+            rate=self.frame_drop_rate,
+            telemetry=telemetry,
         )
 
     def window_crasher(
-        self, rng: np.random.Generator | None = None
+        self,
+        rng: np.random.Generator | None = None,
+        telemetry: Telemetry | None = None,
     ) -> WindowCrashInjector:
         """A fresh window-crash injector on this profile's schedule.
 
@@ -205,12 +217,14 @@ class FaultProfile:
             rng: optional override of the crash-schedule generator (the
                 parallel engine passes a per-window substream); defaults
                 to the profile's run-level seam stream.
+            telemetry: the run's Telemetry, counting armed crashes.
         """
         return WindowCrashInjector(
             rng if rng is not None else self._rng(_STREAM_CRASH),
             crash_rate=self.window_crash_rate,
             min_calls=self.crash_min_calls,
             max_calls=self.crash_max_calls,
+            telemetry=telemetry,
         )
 
 

@@ -17,10 +17,8 @@ enforcing the invariants the reproduction's correctness rests on:
 * **REPRO008** — every ``__all__`` entry resolves to a real binding.
 * **REPRO009** — no hand-rolled retry loops; retries flow through
   ``repro.resilience`` so backoff lands on the simulated clock.
-* **REPRO010** — telemetry is injected; no module-level ``Telemetry()``
-  / registry singletons.
-* **REPRO011** — decision ledgers are injected; no module-level
-  ``DecisionLedger()`` singletons.
+* **REPRO010** — observers are injected; no module-level ``Telemetry()``
+  / registry / ``DecisionLedger()`` singletons.
 
 Run it with ``python -m repro.lint src tests benchmarks`` (non-zero exit
 on violations), or programmatically via :func:`lint_paths` /

@@ -791,38 +791,34 @@ class NoHandRolledRetryRule(Rule):
         return violations
 
 
-#: Telemetry types whose import-time construction REPRO010 bans.
-_TELEMETRY_TYPES = frozenset(
-    {"Telemetry", "MetricsRegistry", "Tracer", "Profiler"}
-)
+#: Observer types whose import-time construction REPRO010 bans, each
+#: mapped to the subpackage that defines it (where it is exempt).
+_OBSERVER_HOMES = {
+    "Telemetry": "telemetry",
+    "MetricsRegistry": "telemetry",
+    "Tracer": "telemetry",
+    "Profiler": "telemetry",
+    "DecisionLedger": "provenance",
+}
 
 
 class InjectedTelemetryRule(Rule):
-    """REPRO010 — telemetry is injected, never a module-level singleton.
-
-    The scanning machinery is shared with REPRO011
-    (:class:`InjectedLedgerRule`): subclasses override
-    :attr:`banned_types`, :attr:`home_subpackage` and :attr:`noun` to ban
-    import-time construction of a different injected-observer family.
-    """
-
-    #: Observer types whose import-time construction the rule bans.
-    banned_types: frozenset[str] = _TELEMETRY_TYPES
-    #: The subpackage that legitimately defines those types (exempt).
-    home_subpackage = "telemetry"
-    #: How the diagnostic names the observer family.
-    noun = "telemetry"
+    """REPRO010 — observers are injected, never module-level singletons."""
 
     rule_id = "REPRO010"
-    title = "telemetry must be injected (no module-level singletons)"
+    title = (
+        "telemetry and decision ledgers must be injected "
+        "(no module-level singletons)"
+    )
     rationale = (
         "A module-level `Telemetry()` (or bare `MetricsRegistry` / "
-        "`Tracer` / `Profiler`) is ambient global state: every run "
-        "records into the same object, so two experiments in one process "
-        "contaminate each other's counters and tests pass or fail by "
-        "import order.  The owner of a run constructs one Telemetry and "
-        "injects it down through constructors; components accept "
-        "`telemetry=None` and skip recording."
+        "`Tracer` / `Profiler` / `DecisionLedger`) is ambient global "
+        "state: every run records into the same object, so two "
+        "experiments in one process contaminate each other's counters — "
+        "and, since the ledger rides in checkpoints, each other's resume "
+        "state — and tests pass or fail by import order.  The owner of a "
+        "run constructs one Telemetry, attaches the ledger to it, and "
+        "injects it down through constructors."
     )
     violating_example = textwrap.dedent(
         """\
@@ -845,8 +841,8 @@ class InjectedTelemetryRule(Rule):
     )
 
     def applies_to(self, ctx: FileContext) -> bool:
-        """Library code, except the observer family's own package."""
-        return ctx.is_library and ctx.subpackage != self.home_subpackage
+        """Library code (each type is exempt in its own package)."""
+        return ctx.is_library
 
     @staticmethod
     def _called_name(func: ast.expr) -> str | None:
@@ -860,7 +856,7 @@ class InjectedTelemetryRule(Rule):
     def _scan(
         self, node: ast.AST, ctx: FileContext, out: list[Violation]
     ) -> None:
-        """Flag telemetry constructions reachable at import time.
+        """Flag observer constructions reachable at import time.
 
         Recurses through module-level statements, class bodies, and
         conditional/try blocks (all of which execute on import) but not
@@ -871,17 +867,19 @@ class InjectedTelemetryRule(Rule):
             node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
         ):
             return
-        if (
-            isinstance(node, ast.Call)
-            and self._called_name(node.func) in self.banned_types
-        ):
+        name = (
+            self._called_name(node.func)
+            if isinstance(node, ast.Call)
+            else None
+        )
+        if name in _OBSERVER_HOMES and _OBSERVER_HOMES[name] != ctx.subpackage:
             out.append(
                 self.violation(
                     ctx,
                     node,
-                    f"`{self._called_name(node.func)}()` constructed at "
-                    f"import time; construct {self.noun} in the run "
-                    "owner and inject it through constructors "
+                    f"`{name}()` constructed at "
+                    "import time; construct it in the run owner and "
+                    "inject it through constructors "
                     f"({self.rule_id})",
                 )
             )
@@ -889,56 +887,11 @@ class InjectedTelemetryRule(Rule):
             self._scan(child, ctx, out)
 
     def check(self, tree: ast.Module, ctx: FileContext) -> list[Violation]:
-        """Flag import-time telemetry singletons."""
+        """Flag import-time observer singletons."""
         violations: list[Violation] = []
         for stmt in tree.body:
             self._scan(stmt, ctx, violations)
         return violations
-
-
-#: Provenance types whose import-time construction REPRO011 bans.
-_PROVENANCE_TYPES = frozenset({"DecisionLedger"})
-
-
-class InjectedLedgerRule(InjectedTelemetryRule):
-    """REPRO011 — decision ledgers are injected, never module singletons."""
-
-    banned_types = _PROVENANCE_TYPES
-    home_subpackage = "provenance"
-    noun = "the decision ledger"
-
-    rule_id = "REPRO011"
-    title = "decision ledgers must be injected (no module-level singletons)"
-    rationale = (
-        "A module-level `DecisionLedger()` is ambient global state with "
-        "sharper teeth than a telemetry singleton: the ledger rides in "
-        "checkpoints, so two runs recording into one shared ledger "
-        "corrupt each other's provenance *and* each other's resume "
-        "state.  The owner of a run constructs one ledger and injects "
-        "it down through constructors (`TMerge(ledger=...)`, "
-        "`IngestionPipeline(ledger=...)`, ...); components accept "
-        "`ledger=None` and skip recording, which keeps the unobserved "
-        "path bit-identical."
-    )
-    violating_example = textwrap.dedent(
-        """\
-        \"\"\"Fixture.\"\"\"
-        from repro.provenance import DecisionLedger
-
-        LEDGER = DecisionLedger()
-        """
-    )
-    clean_example = textwrap.dedent(
-        '''\
-        """Fixture."""
-        from repro.provenance import DecisionLedger
-
-
-        def build_run_ledger() -> DecisionLedger:
-            """Construct the run-scoped ledger an owner injects down."""
-            return DecisionLedger()
-        '''
-    )
 
 
 #: Every shipped rule, in rule-id order.  The engine and the tests iterate
@@ -954,7 +907,6 @@ ALL_RULES: tuple[Rule, ...] = (
     AllExportsResolveRule(),
     NoHandRolledRetryRule(),
     InjectedTelemetryRule(),
-    InjectedLedgerRule(),
 )
 
 RULES_BY_ID: dict[str, Rule] = {rule.rule_id: rule for rule in ALL_RULES}

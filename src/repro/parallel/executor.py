@@ -30,12 +30,14 @@ stream, one feature cache, one clock and one breaker through all windows
 in order — state that cannot be split across workers without changing
 results.  See DESIGN.md §9 for the full argument.
 
-Aggregation happens in window-index order regardless of completion
-order, through :meth:`WindowOutcome.fold_into` (shared with the
-streaming service): window clocks fold into the run clock via
-:meth:`~repro.reid.cost.CostModel.merge_state`, worker counters via
-:meth:`~repro.telemetry.metrics.MetricsRegistry.merge_delta`, worker
-spans via :meth:`~repro.telemetry.tracing.Tracer.absorb`, so even the
+Every window records into its own Telemetry (carrying a fresh decision
+ledger when the run records decisions) and ships it home as one
+:meth:`~repro.telemetry.Telemetry.export` payload.  Aggregation happens
+in window-index order regardless of completion order, through
+:meth:`WindowOutcome.fold_into` (shared with the streaming service):
+window clocks fold into the run clock via
+:meth:`~repro.reid.cost.CostModel.merge_state` and window telemetry into
+the run's via :meth:`~repro.telemetry.Telemetry.absorb`, so even the
 floating-point accumulation order is worker-count independent.
 """
 
@@ -43,23 +45,26 @@ from __future__ import annotations
 
 import copy
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro import contracts
 from repro.core.pairs import TrackPair
-from repro.core.pipeline import Merger, run_resilient_window
+from repro.core.pipeline import (
+    Merger,
+    build_window_runtime,
+    empty_merge_result,
+    run_resilient_window,
+)
 from repro.core.results import MergeResult
 from repro.faults.profiles import FaultProfile
 from repro.parallel.planner import ShardPlan, ShardPlanner, window_seeds
 from repro.provenance import DecisionLedger
-from repro.reid import CostModel, CostParams, ReidScorer, SimReIDModel
+from repro.reid import CostModel, CostParams
 from repro.resilience import ResilienceConfig, ResilientReidScorer
 from repro.synth.world import VideoGroundTruth
 from repro.telemetry import Telemetry
-from repro.telemetry.tracing import Span
 
 #: Supported pool backends.
 BACKENDS = ("process", "thread")
@@ -88,13 +93,12 @@ class ShardTask:
     Attributes:
         shard_id: the shard's id in the plan.
         world: the simulated ground truth backing the ReID model.
-        merger: a telemetry-detached merger prototype; each window runs
-            a private deep copy.
+        merger: the merger prototype; each window runs a private deep
+            copy.
         cost_params: simulated cost constants.
         items: the shard's window tasks, ascending by index.
         fault_profile: optional chaos configuration.
         resilience: optional resilience tuning.
-        with_telemetry: whether windows record worker-local telemetry.
         with_ledger: whether windows record worker-local decision
             ledgers (absorbed home in window-index order).
     """
@@ -106,52 +110,38 @@ class ShardTask:
     items: list[WindowTask]
     fault_profile: FaultProfile | None = None
     resilience: ResilienceConfig | None = None
-    with_telemetry: bool = False
     with_ledger: bool = False
 
 
 @dataclass
 class WindowOutcome:
-    """One window's results plus its observability payloads.
+    """One window's results plus its observability payload.
 
     Attributes:
         index: the window index.
         result: the merge result.
         cost_state: the window clock's
             :meth:`~repro.reid.cost.CostModel.state_dict`.
-        counters: the window's telemetry counter values (empty when the
-            run is unobserved) — a delta by construction, since the
-            worker registry starts empty.
-        spans: the window's finished spans as
-            :meth:`~repro.telemetry.tracing.Span.to_dict` payloads.
+        telemetry: the window Telemetry's
+            :meth:`~repro.telemetry.Telemetry.export` payload (counters,
+            histograms, spans, profiler stats and decision events).
         resilience_stats: the window scorer's resilience counters.
-        histograms: the window's telemetry histogram states
-            (:meth:`~repro.telemetry.metrics.MetricsRegistry.histograms_snapshot`),
-            folded home in window-index order so parallel reassembly is
-            exact for distributions too.
-        ledger_events: the window's decision events as
-            :meth:`~repro.provenance.DecisionEvent.to_dict` payloads
-            (empty when the run records no provenance).
     """
 
     index: int
     result: MergeResult
     cost_state: dict[str, float]
-    counters: dict[str, float] = field(default_factory=dict)
-    spans: list[dict] = field(default_factory=list)
+    telemetry: dict
     resilience_stats: dict[str, float] = field(default_factory=dict)
-    histograms: dict[str, dict] = field(default_factory=dict)
-    ledger_events: list[dict] = field(default_factory=list)
 
     def fold_into(
         self,
         cost: CostModel,
         resilience_stats: dict[str, float],
-        telemetry: Telemetry | None,
-        ledger: DecisionLedger | None,
+        telemetry: Telemetry,
     ) -> None:
-        """Fold this window's clock, resilience counters, telemetry and
-        decision events into the run-level ones.
+        """Fold this window's clock, resilience counters and telemetry
+        into the run-level ones.
 
         Callers fold outcomes in window-index order: that order fixes the
         floating-point accumulation order, so the run-level totals are
@@ -160,69 +150,47 @@ class WindowOutcome:
         cost.merge_state(self.cost_state)
         for name, value in self.resilience_stats.items():
             resilience_stats[name] = resilience_stats.get(name, 0.0) + value
-        if telemetry is not None:
-            telemetry.metrics.merge_delta(self.counters)
-            telemetry.metrics.merge_histograms(self.histograms)
-            telemetry.tracer.absorb(
-                [Span.from_dict(payload) for payload in self.spans]
-            )
-        if ledger is not None:
-            ledger.absorb(self.ledger_events)
+        telemetry.absorb(self.telemetry)
+
+
+def _rng(seed: np.random.SeedSequence | None) -> np.random.Generator | None:
+    """A generator on a window's seam substream (``None`` without one)."""
+    return None if seed is None else np.random.default_rng(seed)
 
 
 def _run_window_task(shard: ShardTask, item: WindowTask) -> WindowOutcome:
     """Build the window-local execution state and run one window."""
-    telemetry = Telemetry() if shard.with_telemetry else None
-    cost = CostModel(shard.cost_params, telemetry=telemetry)
-    if telemetry is not None:
-        telemetry.bind_clock(cost)
+    # A fresh per-window ledger: events are stamped with the window index
+    # here and absorbed home in window-index order, so the merged log is
+    # worker-count independent (like Tracer.absorb).
+    telemetry = Telemetry(
+        ledger=DecisionLedger() if shard.with_ledger else None
+    )
+    telemetry.begin_window(item.index)
     seeds = item.seeds
-    model = SimReIDModel(shard.world, seed=seeds.model)
-    profile = shard.fault_profile
-    if profile is not None and profile.injects_reid_faults:
-        model = profile.wrap_model(
-            model,
-            call_rng=np.random.default_rng(seeds.call),
-            corruption_rng=np.random.default_rng(seeds.corrupt),
-        )
-        for injector in (model.call_injector, model.corruption_injector):
-            if injector is not None:
-                injector.telemetry = telemetry
-    scorer: ReidScorer | ResilientReidScorer = ReidScorer(
-        model, cost=cost, telemetry=telemetry
+    cost, scorer, crasher = build_window_runtime(
+        shard.world,
+        seeds.model,
+        shard.cost_params,
+        shard.fault_profile,
+        shard.resilience,
+        telemetry,
+        call_rng=_rng(seeds.call),
+        corruption_rng=_rng(seeds.corrupt),
+        crash_rng=_rng(seeds.crash),
     )
-    resilience = shard.resilience
-    if resilience is not None:
-        scorer = ResilientReidScorer(
-            scorer,
-            retry=resilience.retry,
-            breaker_policy=resilience.breaker,
-        )
-    crasher = None
-    if profile is not None and profile.window_crash_rate > 0:
-        crasher = profile.window_crasher(
-            rng=np.random.default_rng(seeds.crash)
-        )
-        crasher.telemetry = telemetry
     merger = copy.deepcopy(shard.merger)
-    if hasattr(merger, "telemetry"):
-        merger.telemetry = telemetry
-    ledger = None
-    if shard.with_ledger and hasattr(merger, "ledger"):
-        # A fresh per-window ledger: events are stamped with the window
-        # index here and absorbed home in window-index order, so the
-        # merged log is worker-count independent (like Tracer.absorb).
-        ledger = DecisionLedger()
-        ledger.begin_window(item.index)
-        merger.ledger = ledger
-    window_span = (
-        telemetry.span("window", window_id=item.index, n_pairs=len(item.pairs))
-        if telemetry is not None
-        else nullcontext()
-    )
-    with window_span:
+    with telemetry.span(
+        "window", window_id=item.index, n_pairs=len(item.pairs)
+    ):
         result = run_resilient_window(
-            merger, item.index, item.pairs, scorer, cost, resilience, crasher
+            merger,
+            item.index,
+            item.pairs,
+            scorer,
+            cost,
+            shard.resilience,
+            crasher,
         )
         if contracts.ENABLED:
             contracts.check_top_k_budget(
@@ -230,38 +198,15 @@ def _run_window_task(shard: ShardTask, item: WindowTask) -> WindowOutcome:
                 len(item.pairs),
                 where="ParallelExecutor",
             )
-    if telemetry is not None:
-        telemetry.observe(
-            "window.merge_ms", result.simulated_seconds * 1000.0
-        )
+    telemetry.observe("window.merge_ms", result.simulated_seconds * 1000.0)
     return WindowOutcome(
         index=item.index,
         result=result,
         cost_state=cost.state_dict(),
-        counters=(
-            telemetry.metrics.counters_snapshot()
-            if telemetry is not None
-            else {}
-        ),
-        spans=(
-            [
-                span.to_dict()
-                for span in sorted(
-                    telemetry.tracer.spans, key=lambda s: s.span_id
-                )
-            ]
-            if telemetry is not None
-            else []
-        ),
+        telemetry=telemetry.export(),
         resilience_stats=(
             scorer.stats() if isinstance(scorer, ResilientReidScorer) else {}
         ),
-        histograms=(
-            telemetry.metrics.histograms_snapshot()
-            if telemetry is not None
-            else {}
-        ),
-        ledger_events=ledger.to_dicts() if ledger is not None else [],
     )
 
 
@@ -338,39 +283,6 @@ class ParallelRun:
     plan: ShardPlan
 
 
-def detached_merger(merger: Merger) -> Merger:
-    """A deep copy of ``merger`` with injected observers removed.
-
-    Shared by :func:`run_windows` and the streaming service: merger
-    prototypes shipped to workers (or cloned per window) must not drag
-    a live telemetry object — or a live decision ledger — across the
-    pool seam.  Workers attach their own window-local instances instead.
-    """
-    parked: dict[str, object] = {}
-    for attribute in ("telemetry", "ledger"):
-        if hasattr(merger, attribute):
-            parked[attribute] = getattr(merger, attribute)
-            setattr(merger, attribute, None)
-    try:
-        clone = copy.deepcopy(merger)
-    finally:
-        for attribute, value in parked.items():
-            setattr(merger, attribute, value)
-    return clone
-
-
-def empty_merge_result(merger: Merger) -> MergeResult:
-    """The synthesized result of a window with no candidate pairs."""
-    return MergeResult(
-        method=merger.name,
-        candidates=[],
-        scores={},
-        n_pairs=0,
-        k=getattr(merger, "k", 0.0),
-        simulated_seconds=0.0,
-    )
-
-
 def run_windows(
     *,
     world: VideoGroundTruth,
@@ -406,25 +318,27 @@ def run_windows(
             auto-on default, exactly as the legacy serial path does).
         n_workers: worker count (``1`` = inline serial execution).
         backend: ``"process"`` or ``"thread"``.
-        telemetry: optional run-level telemetry; worker-local counters,
-            histograms and spans are merged into it in window-index
-            order, plus one ``parallel.shard`` span per shard.
-        ledger: optional run-level decision ledger; per-window worker
-            ledgers are absorbed into it in window-index order (sequence
-            numbers re-assigned, window stamps kept — exactly like
-            ``Tracer.absorb``), so the merged log is worker-count
-            independent.
+        telemetry: optional run-level telemetry; window telemetry
+            (counters, histograms, spans, profiler stats) is absorbed
+            into it in window-index order, plus one ``parallel.shard``
+            span per shard, and :attr:`ParallelRun.window_metrics` is
+            reported.
+        ledger: optional run-level decision ledger, riding on the run's
+            Telemetry; per-window worker ledgers are absorbed into it in
+            window-index order (sequence numbers re-assigned, window
+            stamps kept — exactly like ``Tracer.absorb``), so the merged
+            log is worker-count independent.
     """
     n_windows = len(window_pairs)
     busy = [index for index, pairs in enumerate(window_pairs) if pairs]
     plan = ShardPlanner(n_workers).plan(busy)
     seeds = window_seeds(reid_seed, n_windows, fault_profile)
-    prototype = detached_merger(merger)
+    run_telemetry = Telemetry.for_run(telemetry, ledger)
     tasks = [
         ShardTask(
             shard_id=shard.shard_id,
             world=world,
-            merger=prototype,
+            merger=merger,
             cost_params=cost_params,
             items=[
                 WindowTask(index=c, pairs=window_pairs[c], seeds=seeds[c])
@@ -432,8 +346,7 @@ def run_windows(
             ],
             fault_profile=fault_profile,
             resilience=resilience,
-            with_telemetry=telemetry is not None,
-            with_ledger=ledger is not None,
+            with_ledger=run_telemetry.ledger is not None,
         )
         for shard in plan.shards
     ]
@@ -454,28 +367,25 @@ def run_windows(
         outcome = by_index.get(c)
         if outcome is None:
             window_results.append(empty_merge_result(merger))
-            if telemetry is not None:
-                window_metrics.append({})
+            window_metrics.append({})
             continue
         window_results.append(outcome.result)
-        outcome.fold_into(cost, stats_total, telemetry, ledger)
-        if telemetry is not None:
-            window_metrics.append(dict(outcome.counters))
-    if telemetry is not None:
-        for shard in plan.shards:
-            with telemetry.span(
-                "parallel.shard",
-                shard_id=shard.shard_id,
-                n_windows=len(shard.window_indices),
-                window_ids=list(shard.window_indices),
-                backend=backend,
-                n_workers=n_workers,
-            ):
-                pass
+        outcome.fold_into(cost, stats_total, run_telemetry)
+        window_metrics.append(dict(outcome.telemetry["counters"]))
+    for shard in plan.shards:
+        with run_telemetry.span(
+            "parallel.shard",
+            shard_id=shard.shard_id,
+            n_windows=len(shard.window_indices),
+            window_ids=list(shard.window_indices),
+            backend=backend,
+            n_workers=n_workers,
+        ):
+            pass
     return ParallelRun(
         window_results=window_results,
         cost=cost,
-        window_metrics=window_metrics,
+        window_metrics=window_metrics if telemetry is not None else [],
         resilience_stats=stats_total,
         plan=plan,
     )

@@ -6,13 +6,13 @@ of a run — TMerge iterations, ULB prune passes, resilience
 interventions, streaming backpressure verdicts — into one bounded,
 insertion-ordered log.
 
-Ownership model (lint-enforced by REPRO011, mirroring telemetry's
-REPRO010): a ledger is constructed by whoever owns a run and *injected*
-down through constructors; components accept ``ledger=None`` and skip
-all recording, so the un-instrumented path stays exactly as cheap as
-before.  Recording never touches RNG state or the simulated clock —
-ledger-enabled runs are bit-identical to plain ones (the PR 3
-bit-transparency regime, proven by ``tests/test_provenance_equivalence.py``).
+Ownership model (lint-enforced by REPRO010): a ledger is constructed by
+whoever owns a run and rides on the run's
+:class:`~repro.telemetry.Telemetry`; components record through
+:meth:`Telemetry.record <repro.telemetry.Telemetry.record>`, a no-op
+when no ledger is attached.  Recording never touches RNG state or the
+simulated clock — ledger-enabled runs are bit-identical to plain ones
+(proven by ``tests/test_provenance_equivalence.py``).
 
 Parallel runs record into per-window worker-local ledgers that the
 reassembly stage folds back in window-index order via :meth:`absorb`

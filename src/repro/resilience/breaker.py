@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro import contracts
+from repro.telemetry import Telemetry
 
 #: Breaker state names (kept as plain strings so checkpoints serialize).
 CLOSED = "closed"
@@ -62,15 +63,20 @@ class CircuitBreaker:
         policy: thresholds and timings.
         clock: the :class:`~repro.reid.cost.CostModel` whose
             ``milliseconds`` drive recovery timing.
-        telemetry: optional injected :class:`~repro.telemetry.Telemetry`
+        telemetry: the run's :class:`~repro.telemetry.Telemetry`
             mirroring state flips into ``breaker.opens`` /
-            ``breaker.closes``.
+            ``breaker.closes`` (a private one when omitted).
     """
 
-    def __init__(self, policy: BreakerPolicy, clock, telemetry=None) -> None:
+    def __init__(
+        self,
+        policy: BreakerPolicy,
+        clock,
+        telemetry: Telemetry | None = None,
+    ) -> None:
         self.policy = policy
         self.clock = clock
-        self.telemetry = telemetry
+        self.telemetry = telemetry or Telemetry()
         self.state = CLOSED
         self.consecutive_failures = 0
         self.trial_streak = 0
@@ -88,12 +94,10 @@ class CircuitBreaker:
         if new_state == OPEN:
             self.n_opens += 1
             self.opened_at_ms = float(self.clock.milliseconds)
-            if self.telemetry is not None:
-                self.telemetry.count("breaker.opens")
+            self.telemetry.count("breaker.opens")
         if new_state == CLOSED:
             self.n_closes += 1
-            if self.telemetry is not None:
-                self.telemetry.count("breaker.closes")
+            self.telemetry.count("breaker.closes")
         self.state = new_state
 
     def allow(self) -> bool:

@@ -80,7 +80,7 @@ class ResilientReidScorer:
         self.breaker = breaker or CircuitBreaker(
             breaker_policy or BreakerPolicy(),
             clock=scorer.cost,
-            telemetry=getattr(scorer, "telemetry", None),
+            telemetry=scorer.telemetry,
         )
         #: Armed per-window crash countdown (see
         #: :class:`~repro.faults.injectors.WindowCrashInjector`); the
@@ -115,8 +115,8 @@ class ResilientReidScorer:
 
     @property
     def telemetry(self) -> object:
-        """The wrapped scorer's telemetry sink (mergers read this)."""
-        return getattr(self._scorer, "telemetry", None)
+        """The wrapped scorer's Telemetry (mergers observe through it)."""
+        return self._scorer.telemetry
 
     # ------------------------------------------------------------------
     # The guarded call core
@@ -137,8 +137,7 @@ class ResilientReidScorer:
             except self._retry_on as exc:
                 last = exc
                 self.n_transient_faults += 1
-                if self.telemetry is not None:
-                    self.telemetry.count("resilience.transient_faults")
+                self.telemetry.count("resilience.transient_faults")
                 penalty = float(getattr(exc, "penalty_ms", 0.0))
                 if penalty > 0:
                     self.cost.charge_wait(penalty)
@@ -157,8 +156,7 @@ class ResilientReidScorer:
     def _corrupt(self, keys, what: str) -> CorruptFeatureError:
         """Evict poisoned cache entries and build the retryable error."""
         self.n_corruptions_detected += 1
-        if self.telemetry is not None:
-            self.telemetry.count("resilience.corruptions_detected")
+        self.telemetry.count("resilience.corruptions_detected")
         for key in keys:
             self.cache.discard(key)
         return CorruptFeatureError(
@@ -207,8 +205,7 @@ class ResilientReidScorer:
             )
             if not np.isfinite(result):
                 self.n_corruptions_detected += 1
-                if self.telemetry is not None:
-                    self.telemetry.count("resilience.corruptions_detected")
+                self.telemetry.count("resilience.corruptions_detected")
                 raise CorruptFeatureError("non-finite fresh distance")
             return result
 
@@ -271,17 +268,15 @@ class ResilientReidScorer:
         success or failure per simulated GPU invocation (not per
         request), and validation is one vectorized ``isfinite`` pass.
         """
-        if self.telemetry is not None:
-            self.telemetry.count("resilience.batched_calls")
+        self.telemetry.count("resilience.batched_calls")
 
         def attempt() -> list[float]:
             result = self._scorer.distances_batched(requests, batch_size)
             bad = np.nonzero(~np.isfinite(np.asarray(result)))[0]
             if bad.size:
-                if self.telemetry is not None:
-                    self.telemetry.count(
-                        "resilience.corrupt_batch_requests", int(bad.size)
-                    )
+                self.telemetry.count(
+                    "resilience.corrupt_batch_requests", int(bad.size)
+                )
                 keys = []
                 for i in bad:
                     track_a, ia, track_b, ib = requests[int(i)]
@@ -305,8 +300,7 @@ class ResilientReidScorer:
             )
             if any(not np.isfinite(d) for d in result):
                 self.n_corruptions_detected += 1
-                if self.telemetry is not None:
-                    self.telemetry.count("resilience.corruptions_detected")
+                self.telemetry.count("resilience.corruptions_detected")
                 raise CorruptFeatureError("non-finite fresh batch")
             return result
 

@@ -44,7 +44,6 @@ points never change emitted results.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -52,6 +51,7 @@ from repro import contracts
 from repro.core.pairs import TrackPair, build_track_pairs
 from repro.core.pipeline import (
     Merger,
+    empty_merge_result,
     merger_with_batch_size,
     spatial_fallback_result,
 )
@@ -64,8 +64,6 @@ from repro.parallel.executor import (
     ShardTask,
     WindowOutcome,
     WindowTask,
-    detached_merger,
-    empty_merge_result,
 )
 from repro.parallel.planner import single_window_seeds
 from repro.provenance import EVENT_DEGRADE, DecisionLedger
@@ -205,11 +203,14 @@ class StreamingIngestionService:
         resilience: retry/breaker tuning; defaults on when a fault
             profile is set, mirroring the offline pipeline.
         telemetry: optional injected :class:`~repro.telemetry.Telemetry`
-            (pure observation; never changes results).
+            (pure observation; never changes results).  When set,
+            :attr:`StreamRunResult.window_metrics` carries per-emission
+            counter deltas.
         ledger: optional injected
-            :class:`~repro.provenance.DecisionLedger`.  Per-window
-            worker ledgers are absorbed in emission order (exactly like
-            ``Tracer.absorb``), service-level degradation verdicts are
+            :class:`~repro.provenance.DecisionLedger`, riding on the
+            run's Telemetry.  Per-window worker ledgers are absorbed in
+            emission order (exactly like ``Tracer.absorb``),
+            service-level degradation verdicts are
             recorded as ``degrade`` events, and every checkpoint
             journals the events recorded since the previous one so a
             killed-and-resumed run reconstructs a bit-identical decision
@@ -273,6 +274,9 @@ class StreamingIngestionService:
         self.resilience = resilience
         self.telemetry = telemetry
         self.ledger = ledger
+        #: The one Telemetry this service records into (the ledger rides
+        #: on it); private when no ``telemetry`` is injected.
+        self._telemetry = Telemetry.for_run(telemetry, ledger)
         self.workers = workers
         self.parallel_backend = parallel_backend
         self.store = store
@@ -316,10 +320,9 @@ class StreamingIngestionService:
         return None
 
     def _count(self, name: str, amount: float = 1.0) -> None:
-        """Bump a lifetime counter (mirrored into telemetry when on)."""
+        """Bump a lifetime counter (mirrored into telemetry)."""
         self.counters[name] = self.counters.get(name, 0.0) + amount
-        if self.telemetry is not None:
-            self.telemetry.count(name, amount)
+        self._telemetry.count(name, amount)
 
     @property
     def n_resident_windows(self) -> int:
@@ -341,14 +344,15 @@ class StreamingIngestionService:
         if self.store is None:
             return
         key = ["stream", self.checkpoint_key]
-        ledger = None
-        if self.ledger is not None:
-            fresh = self.ledger.events_since(self._journaled_seq)
-            ledger = self.ledger.header()
-            ledger["journal"] = self.store.append(
+        ledger = self._telemetry.ledger
+        header = None
+        if ledger is not None:
+            fresh = ledger.events_since(self._journaled_seq)
+            header = ledger.header()
+            header["journal"] = self.store.append(
                 key, [event.to_dict() for event in fresh]
             )
-            self._journaled_seq = self.ledger.n_recorded
+            self._journaled_seq = ledger.n_recorded
         payload = {
             "version": CHECKPOINT_VERSION,
             "position": self.position,
@@ -373,11 +377,11 @@ class StreamingIngestionService:
             "cost": self.cost.state_dict(),
             "resilience_stats": dict(self.resilience_stats),
             "bp_active": self._bp_active,
-            "ledger": ledger,
+            "ledger": header,
         }
         self.store.save(key, payload)
-        if self.ledger is not None:
-            self.store.compact(key, len(self.ledger))
+        if ledger is not None:
+            self.store.compact(key, len(ledger))
 
     def _try_restore(self) -> bool:
         """Rebuild state from the store, if a snapshot exists.
@@ -398,7 +402,8 @@ class StreamingIngestionService:
                 f"checkpoint version {version!r} is not supported: this "
                 f"service resumes only version {CHECKPOINT_VERSION}"
             )
-        if self.ledger is not None and payload["ledger"] is None:
+        ledger = self._telemetry.ledger
+        if ledger is not None and payload["ledger"] is None:
             # A snapshot written without a ledger: resuming it into a
             # ledger-attached service would silently drop every pre-crash
             # decision event.  Refuse loudly instead.
@@ -439,12 +444,14 @@ class StreamingIngestionService:
             for k, v in payload["resilience_stats"].items()
         }
         self._bp_active = bool(payload["bp_active"])
-        if self.ledger is not None:
-            self._restore_ledger(key, payload["ledger"])
+        if ledger is not None:
+            self._restore_ledger(ledger, key, payload["ledger"])
         return True
 
-    def _restore_ledger(self, key: list, header: dict) -> None:
-        """Rebuild the ledger from its snapshot header and the journal."""
+    def _restore_ledger(
+        self, ledger: DecisionLedger, key: list, header: dict
+    ) -> None:
+        """Rebuild ``ledger`` from its snapshot header and the journal."""
         records = self.store.journal(key, int(header["journal"]))
         retained = int(header["n_recorded"]) - int(header["n_dropped"])
         if len(records) < retained:
@@ -453,10 +460,10 @@ class StreamingIngestionService:
                 f"records, fewer than the {retained} retained events its "
                 "snapshot expects"
             )
-        self.ledger.load_state_dict(
+        ledger.load_state_dict(
             {**header, "events": records[len(records) - retained:]}
         )
-        self._journaled_seq = self.ledger.n_recorded
+        self._journaled_seq = ledger.n_recorded
 
     # ------------------------------------------------------------------
     # The service loop
@@ -489,17 +496,10 @@ class StreamingIngestionService:
         self._stop_after = stop_after_windows
         stopped = False
         events = source.events(start=self.position)
-        feed_span = (
-            self.telemetry.span(
-                "stream.run",
-                resumed=resumed,
-                position=self.position,
-            )
-            if self.telemetry is not None
-            else nullcontext()
-        )
         try:
-            with feed_span:
+            with self._telemetry.span(
+                "stream.run", resumed=resumed, position=self.position
+            ):
                 self._loop(events)
                 self._finalize_feed()
                 if self.store is not None:
@@ -563,18 +563,16 @@ class StreamingIngestionService:
                 self._count("stream.frames_missing")
                 detections = []
             self._advance_tracking(frame, detections)
-        if self.telemetry is not None:
-            self.telemetry.set_gauge("stream.watermark", float(watermark))
-            self.telemetry.set_gauge(
-                "stream.watermark_lag_ms",
-                self.now_ms - watermark * self.frame_interval_ms,
-            )
-            self.telemetry.set_gauge(
-                "stream.queue_depth", float(self.queue.depth)
-            )
-            self.telemetry.set_gauge(
-                "stream.open_windows", float(self.n_resident_windows)
-            )
+        telemetry = self._telemetry
+        telemetry.set_gauge("stream.watermark", float(watermark))
+        telemetry.set_gauge(
+            "stream.watermark_lag_ms",
+            self.now_ms - watermark * self.frame_interval_ms,
+        )
+        telemetry.set_gauge("stream.queue_depth", float(self.queue.depth))
+        telemetry.set_gauge(
+            "stream.open_windows", float(self.n_resident_windows)
+        )
         self._mark_ready()
         self._drain_ready()
 
@@ -695,7 +693,7 @@ class StreamingIngestionService:
                 ShardTask(
                     shard_id=index,
                     world=self._world,
-                    merger=detached_merger(self.merger),
+                    merger=self.merger,
                     cost_params=self.cost_params,
                     items=[
                         WindowTask(
@@ -708,8 +706,7 @@ class StreamingIngestionService:
                     ],
                     fault_profile=self.fault_profile,
                     resilience=self._effective_resilience(),
-                    with_telemetry=self.telemetry is not None,
-                    with_ledger=self.ledger is not None,
+                    with_ledger=self._telemetry.ledger is not None,
                 )
             )
         if not tasks:
@@ -726,26 +723,28 @@ class StreamingIngestionService:
         tracks = self._tracks_of(index)
         prev = self._previous_tracks_of(index)
         pairs = build_track_pairs(tracks, prev)
+        telemetry = self._telemetry
         if outcome is not None:
             result = outcome.result
-            outcome.fold_into(
-                self.cost, self.resilience_stats, self.telemetry, self.ledger
+            outcome.fold_into(self.cost, self.resilience_stats, telemetry)
+            self._window_metrics.append(
+                dict(outcome.telemetry["counters"])
+                if self.telemetry is not None
+                else {}
             )
-            self._window_metrics.append(dict(outcome.counters))
         else:
             if entry["degraded"] and pairs:
                 result = spatial_fallback_result(self.merger, pairs, 0.0)
                 self._count("stream.windows_degraded")
-                if self.ledger is not None:
-                    # Service-level verdict: the backpressure policy —
-                    # not the merge algorithm — degraded this window.
-                    self.ledger.begin_window(index)
-                    self.ledger.record(
-                        EVENT_DEGRADE,
-                        reason="backpressure",
-                        lag_ms=float(entry["lag_ms"]),
-                        queue_depth=int(entry["queue_depth"]),
-                    )
+                # Service-level verdict: the backpressure policy — not
+                # the merge algorithm — degraded this window.
+                telemetry.begin_window(index)
+                telemetry.record(
+                    EVENT_DEGRADE,
+                    reason="backpressure",
+                    lag_ms=float(entry["lag_ms"]),
+                    queue_depth=int(entry["queue_depth"]),
+                )
             else:
                 result = empty_merge_result(self.merger)
             self._window_metrics.append({})
@@ -763,23 +762,21 @@ class StreamingIngestionService:
             lag_ms=entry["lag_ms"],
             queue_depth=entry["queue_depth"],
         )
-        if self.telemetry is not None:
-            self.telemetry.observe(
-                "stream.merge_latency_ms",
-                result.simulated_seconds * 1000.0,
-            )
-            self.telemetry.observe(
-                "stream.emit_lag_ms",
-                self.now_ms - emission.window.end * self.frame_interval_ms,
-            )
-            with self.telemetry.span(
-                "stream.window",
-                window_id=index,
-                n_pairs=result.n_pairs,
-                degraded=result.degraded,
-                lag_ms=entry["lag_ms"],
-            ):
-                pass
+        telemetry.observe(
+            "stream.merge_latency_ms", result.simulated_seconds * 1000.0
+        )
+        telemetry.observe(
+            "stream.emit_lag_ms",
+            self.now_ms - emission.window.end * self.frame_interval_ms,
+        )
+        with telemetry.span(
+            "stream.window",
+            window_id=index,
+            n_pairs=result.n_pairs,
+            degraded=result.degraded,
+            lag_ms=entry["lag_ms"],
+        ):
+            pass
         self._count("stream.windows_emitted")
 
         # Evict: the window's buffer becomes the retained previous set.

@@ -1,6 +1,7 @@
 """repro.telemetry — zero-dependency observability for the TMerge stack.
 
-Three primitives behind one injectable facade:
+Three primitives (plus the optional decision ledger) behind one
+injectable facade:
 
 * :class:`MetricsRegistry` — lazily-created counters, gauges and
   histograms (ReID invocations, cache hit/miss/eviction, Thompson
@@ -16,12 +17,13 @@ Plus the operational export surface: :func:`render_openmetrics` /
 Prometheus text format (zero-dependency; see
 :mod:`repro.telemetry.openmetrics`).
 
-The facade, :class:`Telemetry`, is always *injected* — constructed by
-whoever owns a run and passed down through constructors.  Module-level
-telemetry singletons are a lint violation (REPRO010).  Components accept
-``telemetry=None`` and skip all recording in that case, which keeps the
-un-instrumented path free and guarantees bit-identical results with
-telemetry on or off (DESIGN.md §8).
+The facade, :class:`Telemetry`, is always *injected*: the run owns one
+Telemetry and the :class:`~repro.provenance.DecisionLedger`, when the
+run records decisions, rides on it.  Module-level observer singletons
+are a lint violation (REPRO010).  Components record into the Telemetry
+they are handed without asking whether anyone is watching; recording
+never touches RNG state or the simulated clock, so results are
+bit-identical with observation on or off (DESIGN.md §8).
 """
 
 from repro.telemetry.facade import Telemetry

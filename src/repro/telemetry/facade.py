@@ -1,42 +1,79 @@
 """The injectable :class:`Telemetry` facade.
 
-One ``Telemetry`` object bundles the three observability primitives —
-a :class:`~repro.telemetry.metrics.MetricsRegistry`, a
-:class:`~repro.telemetry.tracing.Tracer` and a
-:class:`~repro.telemetry.profiling.Profiler` — behind the handful of
-shortcuts call sites actually use (``count``, ``observe``, ``span``).
+One ``Telemetry`` object bundles the observability primitives — a
+:class:`~repro.telemetry.metrics.MetricsRegistry`, a
+:class:`~repro.telemetry.tracing.Tracer`, a
+:class:`~repro.telemetry.profiling.Profiler` and, when the run records
+merge decisions, a :class:`~repro.provenance.DecisionLedger` — behind
+the handful of shortcuts call sites actually use (``count``,
+``observe``, ``span``, ``record``).
 
-Ownership model (lint-enforced by REPRO010): a ``Telemetry`` is
-constructed by whoever owns a *run* — the ingestion pipeline, a sweep,
-the CLI, a test — and injected down through constructors.  Components
-treat ``telemetry=None`` as "observability off" and guard every record
-call, so the fault-free, telemetry-free path stays exactly as cheap and
-exactly as deterministic as before.
+Ownership model (lint-enforced by REPRO010): the run owns one
+``Telemetry`` — the ingestion pipeline, the parallel engine, the
+streaming service, a sweep, the CLI, a test — and the ledger rides on
+it.  Components record into the Telemetry they are handed and never ask
+whether anyone is watching: an unobserved run records into a private
+instance nobody reads.  Recording never touches RNG state or the
+simulated clock, so results are bit-identical with observation on or
+off (DESIGN.md §8).
 """
 
 from __future__ import annotations
 
+import copy
 from contextlib import AbstractContextManager
 
+from repro.provenance.ledger import DecisionLedger
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.profiling import Profiler
 from repro.telemetry.tracing import Span, Tracer
 
 
 class Telemetry:
-    """Metrics + tracing + profiling for one run.
+    """Metrics + tracing + profiling (+ an optional decision ledger) for
+    one run.
 
     Args:
         clock: optional simulated clock (a
             :class:`~repro.reid.cost.CostModel`) for span timestamps;
             usually bound later via :meth:`bind_clock` because the cost
             model is created inside the run being observed.
+        ledger: optional :class:`~repro.provenance.DecisionLedger`
+            receiving :meth:`record` calls; without one, :meth:`record`
+            is a no-op.
     """
 
-    def __init__(self, clock: object | None = None) -> None:
+    def __init__(
+        self,
+        clock: object | None = None,
+        ledger: DecisionLedger | None = None,
+    ) -> None:
         self.metrics = MetricsRegistry()
         self.tracer = Tracer(clock=clock)
         self.profiler = Profiler()
+        self.ledger = ledger
+
+    @classmethod
+    def for_run(
+        cls,
+        telemetry: Telemetry | None,
+        ledger: DecisionLedger | None,
+    ) -> Telemetry:
+        """Resolve a run owner's ``telemetry=`` / ``ledger=`` pair into
+        the one Telemetry the run records into.
+
+        No telemetry gives a private instance carrying ``ledger``.  A
+        telemetry with no new ``ledger`` is returned as is; otherwise a
+        shallow copy shares its metrics, tracer and profiler and carries
+        ``ledger``, so the caller's object is never mutated.
+        """
+        if telemetry is None:
+            return cls(ledger=ledger)
+        if ledger is None or ledger is telemetry.ledger:
+            return telemetry
+        view = copy.copy(telemetry)
+        view.ledger = ledger
+        return view
 
     @property
     def clock(self) -> object | None:
@@ -65,6 +102,59 @@ class Telemetry:
     def span(self, name: str, **attributes: object) -> AbstractContextManager[Span]:
         """Open a traced span (see :meth:`Tracer.span`)."""
         return self.tracer.span(name, **attributes)
+
+    def record(
+        self, kind: str, *, tau: int | None = None, **data: object
+    ) -> None:
+        """Record one decision event on the ledger (no-op without one)."""
+        if self.ledger is not None:
+            self.ledger.record(kind, tau=tau, **data)
+
+    def begin_window(self, window: int) -> None:
+        """Stamp subsequent decision events with ``window`` (see
+        :meth:`DecisionLedger.begin_window`; no-op without a ledger)."""
+        if self.ledger is not None:
+            self.ledger.begin_window(window)
+
+    # ------------------------------------------------------------------
+    # Window payloads (the parallel engine's reassembly seam)
+    # ------------------------------------------------------------------
+    def export(self) -> dict:
+        """Everything this (window-local) Telemetry recorded, as one
+        picklable payload for :meth:`absorb`.
+
+        The counters are a delta by construction: a window's Telemetry
+        starts empty.
+        """
+        return {
+            "counters": self.metrics.counters_snapshot(),
+            "histograms": self.metrics.histograms_snapshot(),
+            "spans": [
+                span.to_dict()
+                for span in sorted(self.tracer.spans, key=lambda s: s.span_id)
+            ],
+            "profile": self.profiler.stats_snapshot(),
+            "ledger": [] if self.ledger is None else self.ledger.to_dicts(),
+        }
+
+    def absorb(self, payload: dict) -> None:
+        """Fold an :meth:`export` payload into this Telemetry.
+
+        Callers absorb in window-index order: counters, histograms and
+        profiler stats add up in that order, spans are re-numbered
+        (:meth:`Tracer.absorb`) and decision events re-sequenced
+        (:meth:`DecisionLedger.absorb`), so the merged state is
+        worker-count independent.  Events are dropped when this
+        Telemetry carries no ledger.
+        """
+        self.metrics.merge_delta(payload["counters"])
+        self.metrics.merge_histograms(payload["histograms"])
+        self.tracer.absorb(
+            [Span.from_dict(span) for span in payload["spans"]]
+        )
+        self.profiler.merge_stats(payload["profile"])
+        if self.ledger is not None:
+            self.ledger.absorb(payload["ledger"])
 
     # ------------------------------------------------------------------
     # Reporting

@@ -61,6 +61,28 @@ class Profiler:
         stats.total_seconds += seconds
         stats.max_seconds = max(stats.max_seconds, seconds)
 
+    def stats_snapshot(self) -> list[list]:
+        """Every function's ``[name, calls, total_seconds, max_seconds]``,
+        in first-call order (a worker ships this home in its telemetry
+        payload)."""
+        return [
+            [s.name, s.calls, s.total_seconds, s.max_seconds]
+            for s in self._stats.values()
+        ]
+
+    def merge_stats(self, snapshot: list[list]) -> None:
+        """Fold a :meth:`stats_snapshot` into this profiler.
+
+        Calls and totals add; the slowest call is the maximum of both.
+        """
+        for name, calls, total, slowest in snapshot:
+            stats = self._stats.get(name)
+            if stats is None:
+                stats = self._stats[name] = FunctionStats(name)
+            stats.calls += int(calls)
+            stats.total_seconds += float(total)
+            stats.max_seconds = max(stats.max_seconds, float(slowest))
+
     def hotspots(self, top: int = 10) -> list[FunctionStats]:
         """The ``top`` most expensive functions by total wall time."""
         ranked = sorted(

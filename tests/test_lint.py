@@ -122,6 +122,30 @@ class TestRuleScoping:
         assert len(violations) == 1
         assert "duplicate" in violations[0].message
 
+    def test_module_level_ledger_flagged(self):
+        """A ``DecisionLedger()`` singleton is REPRO010's, exempt only in
+        ``provenance``; telemetry types stay exempt only in ``telemetry``."""
+        source = textwrap.dedent(
+            """\
+            \"\"\"M.\"\"\"
+            from repro.provenance import DecisionLedger
+
+            LEDGER = DecisionLedger()
+            """
+        )
+        assert len(run_rule("REPRO010", source, "src/repro/core/x.py")) == 1
+        assert len(
+            run_rule("REPRO010", source, "src/repro/telemetry/x.py")
+        ) == 1
+        assert run_rule("REPRO010", source, "src/repro/provenance/x.py") == []
+        telemetry = '"""M."""\nTELEMETRY = Telemetry()\n'
+        assert len(
+            run_rule("REPRO010", telemetry, "src/repro/provenance/x.py")
+        ) == 1
+        assert (
+            run_rule("REPRO010", telemetry, "src/repro/telemetry/x.py") == []
+        )
+
     def test_mutable_default_in_tests_flagged(self):
         source = "def f(xs=[]):\n    return xs\n"
         assert len(run_rule("REPRO003", source, "tests/test_x.py")) == 1
@@ -267,12 +291,13 @@ class TestCli:
             assert rule_id in out
 
     def test_list_rules_has_no_flow_diagnostics(self, capsys):
-        """Only the per-file rules are listed; REPRO101–106 are gone."""
+        """Only the per-file rules are listed; REPRO101–106 are gone, and
+        REPRO011 is folded into REPRO010."""
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("REPRO001", "REPRO010", "REPRO011"):
+        for rule_id in ("REPRO001", "REPRO010"):
             assert rule_id in out
-        for rule_id in ("REPRO101", "REPRO106"):
+        for rule_id in ("REPRO011", "REPRO101", "REPRO106"):
             assert rule_id not in out
 
     def test_check_docs_accepts_design_md(self, capsys, monkeypatch):
@@ -287,7 +312,7 @@ class TestCli:
         doc.write_text("Only REPRO001 and the ghost REPRO999 here.")
         assert main(["--list-rules", "--check-docs", str(doc)]) == 1
         out = capsys.readouterr().out
-        assert "REPRO011" in out  # reported missing
+        assert "REPRO010" in out  # reported missing
         assert "REPRO999" in out  # reported unknown
 
     def test_quiet_suppresses_details(self, fixture_tree, capsys):

@@ -169,14 +169,12 @@ def test_workers_none_keeps_legacy_path(
     make_pipeline, chaos_world, tracked, monkeypatch
 ):
     """``workers=None`` must never reach the sharded engine."""
-    import repro.core.pipeline as pipeline_module
+    import repro.parallel as parallel_module
 
-    def explode(self, *args, **kwargs):
+    def explode(*args, **kwargs):
         raise AssertionError("workers=None entered the sharded path")
 
-    monkeypatch.setattr(
-        pipeline_module.IngestionPipeline, "_run_sharded", explode
-    )
+    monkeypatch.setattr(parallel_module, "run_windows", explode)
     detections, tracks = tracked
     result = make_pipeline(window_length=100).run_on_tracks(
         chaos_world, detections, tracks

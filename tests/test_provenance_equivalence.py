@@ -19,11 +19,12 @@ import json
 
 import pytest
 
-from helpers import planted_pairs, stub_scorer
+from helpers import StubReidModel, planted_pairs
 
 from repro.core.tmerge import TMerge
 from repro.faults import fault_profile
 from repro.provenance import DecisionLedger
+from repro.reid import CostModel, ReidScorer
 from repro.resilience import CheckpointStore
 from repro.resilience.checkpoint import JOURNAL_COMPACT_FLOOR
 from repro.streaming import (
@@ -31,6 +32,7 @@ from repro.streaming import (
     StreamingIngestionService,
     SyntheticFeedSource,
 )
+from repro.telemetry import Telemetry
 from repro.track import TracktorTracker
 
 SEEDS = (1, 5)
@@ -42,9 +44,16 @@ def _profile(name):
     return None if name is None else fault_profile(name, seed=FAULT_SEED)
 
 
-def _workload(noise: float = 0.05):
+def _workload(noise: float = 0.05, ledger=None):
+    """A planted pair set and a stub scorer whose Telemetry carries
+    ``ledger`` (TMerge records through the scorer's Telemetry)."""
     pairs, _ = planted_pairs(n_distinct=8, track_len=6)
-    return pairs, stub_scorer(noise=noise, seed=9)
+    scorer = ReidScorer(
+        StubReidModel(noise=noise, seed=9),
+        cost=CostModel(),
+        telemetry=Telemetry(ledger=ledger),
+    )
+    return pairs, scorer
 
 
 def _merge_fingerprint(result, scorer):
@@ -71,9 +80,9 @@ class TestMergerTransparency:
         plain = TMerge(**config).run(pairs, scorer)
         plain_print = _merge_fingerprint(plain, scorer)
 
-        pairs, scorer = _workload()
         ledger = DecisionLedger()
-        observed = TMerge(ledger=ledger, **config).run(pairs, scorer)
+        pairs, scorer = _workload(ledger=ledger)
+        observed = TMerge(**config).run(pairs, scorer)
         assert _merge_fingerprint(observed, scorer) == plain_print
         kinds = {event.kind for event in ledger}
         assert "window" in kinds and "sample" in kinds and "final" in kinds
@@ -181,6 +190,51 @@ class TestPipelineTransparency:
         assert windows == {
             c for c, pairs in enumerate(plain.window_pairs) if pairs
         }
+
+
+class TestEvaluateMergerTransparency:
+    """The figure-bench entry point: attaching a Telemetry, a ledger or
+    both never changes a :class:`MethodPoint`, on the serial loop and on
+    the engine path, and the injected Telemetry sees the fault seams."""
+
+    @pytest.fixture(scope="class")
+    def videos(self):
+        from repro.experiments.prep import prepare_dataset
+
+        return prepare_dataset("mot17", 1, seed=0, n_frames=300)
+
+    @pytest.mark.parametrize("workers", (None, 1))
+    def test_observers_do_not_change_the_point(self, videos, workers):
+        from repro.experiments.sweeps import evaluate_merger
+
+        def evaluate(telemetry=None, ledger=None):
+            return evaluate_merger(
+                lambda: TMerge(k=0.1, tau_max=100, batch_size=10, seed=3),
+                videos,
+                fault_profile=_profile("flaky-reid"),
+                telemetry=telemetry,
+                ledger=ledger,
+                workers=workers,
+                parallel_backend="thread",
+            )
+
+        plain = evaluate()
+        telemetry = Telemetry()
+        assert evaluate(telemetry=telemetry) == plain
+        ledger = DecisionLedger()
+        assert evaluate(ledger=ledger) == plain
+        both_telemetry, both_ledger = Telemetry(), DecisionLedger()
+        assert evaluate(telemetry=both_telemetry, ledger=both_ledger) == plain
+
+        assert len(ledger) > 0
+        assert both_ledger.to_dicts() == ledger.to_dicts()
+        for sink in (telemetry, both_telemetry):
+            counters = sink.metrics.counters_snapshot()
+            assert counters.get("faults.reid_failures", 0.0) > 0
+        assert (
+            both_telemetry.metrics.counters_snapshot()
+            == telemetry.metrics.counters_snapshot()
+        )
 
 
 class TestScenarioTransparency:
@@ -447,7 +501,7 @@ class TestTMergeCheckpointCompat:
     function of the pair and the whole event log is bit-comparable."""
 
     def _captured_payload(self, *, ledger=None):
-        pairs, scorer = _workload(noise=0.0)
+        pairs, scorer = _workload(noise=0.0, ledger=ledger)
         store = CheckpointStore()
         captured = {}
         orig_save = store.save
@@ -460,7 +514,7 @@ class TestTMergeCheckpointCompat:
         store.save = spy
         result = TMerge(
             k=0.2, tau_max=300, seed=4, checkpoint_interval=40,
-            checkpoint_store=store, ledger=ledger,
+            checkpoint_store=store,
         ).run(pairs, scorer)
         assert "payload" in captured
         return captured["payload"], _merge_fingerprint(result, scorer)
@@ -470,13 +524,13 @@ class TestTMergeCheckpointCompat:
         payload, reference = self._captured_payload(ledger=ledger)
         assert payload["ledger"] is not None
 
-        pairs, scorer = _workload(noise=0.0)
+        resumed_ledger = DecisionLedger()
+        pairs, scorer = _workload(noise=0.0, ledger=resumed_ledger)
         store = CheckpointStore()
         store.save([list(p.key) for p in pairs], payload)
-        resumed_ledger = DecisionLedger()
         resumed = TMerge(
             k=0.2, tau_max=300, seed=4, checkpoint_interval=40,
-            checkpoint_store=store, ledger=resumed_ledger,
+            checkpoint_store=store,
         ).run(pairs, scorer)
         assert _merge_fingerprint(resumed, scorer) == reference
         assert [e.to_dict() for e in resumed_ledger] == [
@@ -487,13 +541,13 @@ class TestTMergeCheckpointCompat:
         payload, _ = self._captured_payload(ledger=None)
         assert payload["ledger"] is None
 
-        pairs, scorer = _workload(noise=0.0)
+        pairs, scorer = _workload(noise=0.0, ledger=DecisionLedger())
         store = CheckpointStore()
         store.save([list(p.key) for p in pairs], payload)
         with pytest.raises(ValueError, match="ledger"):
             TMerge(
                 k=0.2, tau_max=300, seed=4, checkpoint_interval=40,
-                checkpoint_store=store, ledger=DecisionLedger(),
+                checkpoint_store=store,
             ).run(pairs, scorer)
 
     def test_ledger_payload_fine_without_ledger(self):

@@ -12,6 +12,7 @@ from helpers import tiny_world
 from repro.core.pipeline import IngestionPipeline
 from repro.core.tmerge import TMerge
 from repro.reid import CostModel
+from repro.streaming import StreamingIngestionService, SyntheticFeedSource
 from repro.telemetry import (
     MetricsRegistry,
     Profiler,
@@ -553,3 +554,29 @@ class TestParallelReassembly:
             engine_runs[2][0].window_metrics
             == engine_runs[1][0].window_metrics
         )
+
+    def test_hotspots_cross_the_pool_seam(self, engine_runs):
+        """Regression: worker profiler stats used to be dropped, so
+        sharded runs reported no wall-clock hotspots at all."""
+        calls = {
+            workers: sorted(
+                (stats.name, stats.calls)
+                for stats in telemetry.profiler.hotspots()
+            )
+            for workers, (_, telemetry) in engine_runs.items()
+        }
+        assert calls[1], "expected profiled calls under workers=1"
+        assert calls[2] == calls[1]
+
+    def test_streaming_run_reports_hotspots(self):
+        world = tiny_world(n_frames=600, seed=4)
+        telemetry = Telemetry()
+        StreamingIngestionService(
+            TracktorTracker(),
+            TMerge(k=0.1, tau_max=400, batch_size=10, seed=3),
+            window_length=300,
+            telemetry=telemetry,
+        ).run(SyntheticFeedSource(world))
+        hotspots = telemetry.profiler.hotspots()
+        assert hotspots, "expected profiled calls from the service"
+        assert all(stats.calls > 0 for stats in hotspots)
