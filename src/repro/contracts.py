@@ -15,6 +15,9 @@ anchors:
 * :class:`~repro.core.ulb.UlbPruner` keeps its accepted and rejected
   sets disjoint and in range (Algorithm 4 — an arm cannot be both
   certainly inside and certainly outside the top-K).
+* The grouped Thompson draw's class index equals a rebuild from the
+  window state, and its selections are distinct live arms with
+  ``θ ∈ [0, 1]`` (§IV Thompson step, DESIGN.md §13.6).
 * The window length satisfies ``L ≥ 2·L_max`` when a maximum track
   length is declared (§II — guarantees a fragmented GT track cannot
   out-span two consecutive windows).
@@ -159,6 +162,55 @@ def check_ulb_partition(
         raise ContractViolation(
             f"{where}: arm indices {out_of_range} outside "
             f"[0, {n_arms})"
+        )
+
+
+def check_class_index(
+    index: object | None,
+    successes: np.ndarray,
+    failures: np.ndarray,
+    eligible: np.ndarray,
+    live: np.ndarray,
+    selected: np.ndarray,
+    theta: np.ndarray,
+    where: str = "PosteriorClassIndex",
+) -> None:
+    """The grouped Thompson draw's index and its last selection are sound.
+
+    ``index`` (a :class:`~repro.core.thompson.PosteriorClassIndex`, or
+    ``None`` when the window draws per arm) must equal a rebuild from
+    ``(S, F, eligible)``; the ``selected`` arms must be distinct members
+    of ``live``, the live set they were drawn from; and every ``theta``
+    must lie in ``[0, 1]``.
+
+    Raises:
+        ContractViolation: on a stale index, a repeated or non-live
+            selected arm, or a θ outside ``[0, 1]``.
+    """
+    if not ENABLED:
+        return
+    if index is not None:
+        rebuilt = type(index)(successes, failures, eligible)
+        if index.state() != rebuilt.state():  # type: ignore[attr-defined]
+            raise ContractViolation(
+                f"{where}: class index differs from a rebuild from "
+                "(S, F, eligible)"
+            )
+    selected = np.asarray(selected, dtype=np.int64)
+    if np.unique(selected).size != selected.size:
+        raise ContractViolation(
+            f"{where}: selected arms {selected.tolist()} repeat an arm"
+        )
+    stale = selected[~np.isin(selected, live)]
+    if stale.size:
+        raise ContractViolation(
+            f"{where}: selected arms {stale.tolist()} were not live"
+        )
+    theta = np.asarray(theta, dtype=np.float64)
+    inside = np.isfinite(theta) & (theta >= 0.0) & (theta <= 1.0)
+    if not np.all(inside):
+        raise ContractViolation(
+            f"{where}: Thompson draw {theta[~inside][0]!r} outside [0, 1]"
         )
 
 

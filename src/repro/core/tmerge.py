@@ -10,19 +10,25 @@ distant").  The batched variant pulls the ``B`` smallest-θ arms at once and
 evaluates their BBox pairs in one simulated GPU call, preserving sample
 diversity — the reason TMerge-B scales with ``B`` while LCB-B does not.
 
-The whole per-iteration hot path is vectorized (DESIGN.md §13): Thompson
-draws are one ``rng`` call across all live arms, batched observations flow
-through :meth:`~repro.reid.scorer.ReidScorer.normalized_distances_batched`
-in one call, and posterior updates (Bernoulli flips included) are pure
-numpy array operations.  The vectorization is *stream-exact*: it consumes
-the RNG in the same order as the historical scalar loop
-(``rng.random(m)`` draws the same doubles as ``m`` scalar ``rng.random()``
-calls — the draw-order contract tested in
-``tests/test_batched_equivalence.py``), so results are bit-identical to
-the pre-vectorization implementation for every ``batch_size``.
-``batch_size=1`` (like ``batch_size=None``) degenerates *exactly* to the
-scalar algorithm: arg-min selection, unbatched scorer calls, unbatched
-cost accounting.
+The per-iteration hot path is vectorized (DESIGN.md §13).  The Thompson
+step has two regimes, chosen per iteration by the live-arm count alone:
+
+* below :data:`~repro.core.thompson.GROUP_MIN_LIVE` live arms it is one
+  ``rng.beta`` call across all live arms — *stream-exact*, bit-identical
+  to the historical scalar loop;
+* at or above it, a :class:`~repro.core.thompson.PosteriorClassIndex`
+  draws once per posterior class ``(S, F)`` instead of once per arm —
+  *exact in distribution* (the same law for the selected arms and their
+  θ), not in bits (DESIGN.md §13.6).
+
+Batched observations flow through
+:meth:`~repro.reid.scorer.ReidScorer.normalized_distances_batched` in one
+call, and posterior updates (Bernoulli flips included) are pure numpy
+array operations; ``rng.random(m)`` draws the same doubles as ``m``
+scalar ``rng.random()`` calls (the draw-order contract tested in
+``tests/test_batched_equivalence.py``).  ``batch_size=1`` (like
+``batch_size=None``) degenerates *exactly* to the scalar algorithm:
+arg-min selection, unbatched scorer calls, unbatched cost accounting.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from repro.core.beta_init import beta_init
 from repro.core.pairs import TrackPair
 from repro.core.regret import RegretTracker
 from repro.core.results import MergeResult, top_k_count
+from repro.core.thompson import GROUP_MIN_LIVE, PosteriorClassIndex
 from repro.core.ulb import UlbPruner
 from repro.provenance import (
     EVENT_DEGRADE,
@@ -274,13 +281,19 @@ class TMerge:
                 )
 
         degraded = False
+        # Derived from (S, F, eligible) alone, so a resume rebuilds it.
+        classes: PosteriorClassIndex | None = None
         for tau in range(tau0 + 1, self.tau_max + 1):
             live = np.nonzero(eligible)[0]
             if live.size == 0:
                 break
+            if live.size < GROUP_MIN_LIVE:
+                classes = None
+            elif classes is None:
+                classes = PosteriorClassIndex(successes, failures, eligible)
 
             selected, theta_sel = self._select_arms(
-                live, successes, failures, rng
+                live, successes, failures, rng, classes
             )
             # One posterior draw per live arm per iteration, batched or
             # not — this is the figure the bench gate watches alongside
@@ -314,6 +327,8 @@ class TMerge:
                     regret.record_many(d_norms)
                 sums[owners] += d_norms
                 counts[owners] += 1
+                if classes is not None:
+                    classes.discard(owners, successes, failures)
                 hits = rng.random(owners.size) < d_norms
                 successes[owners[hits]] += 1.0
                 failures[owners[~hits]] += 1.0
@@ -323,6 +338,8 @@ class TMerge:
                     count=owners.size,
                 )
                 eligible[owners[exhausted]] = False
+                if classes is not None:
+                    classes.add(owners[~exhausted], successes, failures)
             if ledger is not None:
                 ledger.record(
                     EVENT_SAMPLE,
@@ -342,11 +359,17 @@ class TMerge:
             if pruner is not None and tau % self.ulb_interval == 0:
                 means = np.where(counts > 0, sums / np.maximum(counts, 1), 0.5)
                 accepted, rejected = pruner.update(means, counts, tau)
-                for arm in accepted | rejected:
-                    eligible[arm] = False
+                retired = sorted(a for a in accepted | rejected if eligible[a])
+                eligible[retired] = False
+                if classes is not None:
+                    classes.discard(retired, successes, failures)
                 if contracts.ENABLED:
                     contracts.check_ulb_partition(
                         pruner.accepted, pruner.rejected, n, where="TMerge.run"
+                    )
+                    contracts.check_class_index(
+                        classes, successes, failures, eligible,
+                        live, selected, theta_sel, where="TMerge.ulb",
                     )
 
             if (
@@ -354,6 +377,11 @@ class TMerge:
                 and self.checkpoint_interval is not None
                 and tau % self.checkpoint_interval == 0
             ):
+                if contracts.ENABLED:
+                    contracts.check_class_index(
+                        classes, successes, failures, eligible,
+                        live, selected, theta_sel, where="TMerge.checkpoint",
+                    )
                 self.checkpoint_store.save(
                     window_key,
                     self._checkpoint_payload(
@@ -461,22 +489,29 @@ class TMerge:
         successes: np.ndarray,
         failures: np.ndarray,
         rng: np.random.Generator,
+        classes: PosteriorClassIndex | None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Thompson-sample all live arms; return the chosen arms + draws.
+        """Thompson-sample the live arms; return the chosen arms + draws.
 
-        One vectorized Beta draw covers every live arm.  The scalar
-        path takes the arg-min; the batched path takes the B smallest θ
-        via argpartition (O(n) instead of a full sort), ordered by θ.
-        Returns ``(arm_indices, theta_values)`` as parallel arrays — the
-        θ values are a pure read-out of draws already made (the ledger
-        records them without consuming any extra RNG).
+        Without a class index (windows below
+        :data:`~repro.core.thompson.GROUP_MIN_LIVE` live arms) one
+        vectorized Beta draw covers every live arm: the scalar path takes
+        the arg-min, the batched path the B smallest θ via argpartition,
+        ordered by θ — the stream-exact historical draw.  With one, the
+        index draws per posterior class (exact in distribution, DESIGN.md
+        §13.6).  Returns ``(arm_indices, theta_values)`` as parallel
+        arrays ordered by θ — the θ values are a pure read-out of draws
+        already made (the ledger records them without consuming any extra
+        RNG).
         """
-        theta = rng.beta(successes[live], failures[live])
         batch = self._effective_batch
+        take = 1 if batch is None else min(batch, live.size)
+        if classes is not None:
+            return classes.select(successes, failures, rng, take)
+        theta = rng.beta(successes[live], failures[live])
         if batch is None:
             best = int(np.argmin(theta))
             return live[best].reshape(1), theta[best].reshape(1)
-        take = min(batch, live.size)
         order = np.argpartition(theta, take - 1)[:take]
         order = order[np.argsort(theta[order])]
         return live[order], theta[order]

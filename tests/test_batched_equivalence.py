@@ -12,6 +12,15 @@ Three guarantees are enforced here:
 * **Checkpoint compatibility** — a batched run checkpointed mid-window
   resumes bit-identically; mismatched batch sizes and any checkpoint
   version but the current one refuse loudly.
+* **The grouped Thompson draw** (DESIGN.md §13.6) — on windows of at
+  least ``GROUP_MIN_LIVE`` live arms, B=1 still equals the scalar path, a
+  mid-window kill and resume equals the uninterrupted run and the ledger
+  stays bit-transparent; a window just below the cutoff reproduces the
+  per-arm draw's fingerprints (``tests/fixtures/
+  tmerge_below_cutoff_golden.json``, captured before the grouped draw
+  existed).  These tests read ``REPRO_BATCH_SIZE`` and
+  ``REPRO_FAULT_PROFILE``, so the CI chaos matrix runs them on both paths
+  under every fault profile.
 
 The underlying RNG draw-order contract (one ``rng.random(m)`` call
 consumes the PCG64 stream exactly like ``m`` scalar calls) is asserted
@@ -19,19 +28,30 @@ directly, so a numpy behaviour change fails here first with a clear
 message rather than as an opaque fingerprint diff.
 """
 
+import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import planted_pairs, stub_scorer
+from helpers import StubReidModel, large_window, planted_pairs, stub_scorer
 
 from repro.core.baseline import BaselineMerger
 from repro.core.pipeline import merger_with_batch_size
+from repro.core.thompson import GROUP_MIN_LIVE, PosteriorClassIndex
 from repro.core.tmerge import CHECKPOINT_VERSION, TMerge
 from repro.faults import fault_profile
-from repro.resilience import CheckpointStore
+from repro.provenance import EVENT_SAMPLE, DecisionLedger
+from repro.reid import CostModel, ReidScorer
+from repro.resilience import (
+    BreakerPolicy,
+    CheckpointStore,
+    ResilientReidScorer,
+    RetryPolicy,
+)
+from repro.telemetry import Telemetry
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -322,3 +342,147 @@ class TestCheckpointCompat:
             checkpoint_store=store, batch_size=1, **config
         ).run(pairs, scorer)
         assert _merge_fingerprint(resumed, scorer) == reference
+
+
+# ----------------------------------------------------------------------
+# The grouped Thompson draw: windows of at least GROUP_MIN_LIVE live arms
+# ----------------------------------------------------------------------
+#: The batch size under test (the CI chaos matrix sets 1 and 8).
+ENV_BATCH = int(os.environ.get("REPRO_BATCH_SIZE") or 8)
+#: The fault profile under test (the CI chaos matrix sets each one).
+ENV_PROFILE = os.environ.get("REPRO_FAULT_PROFILE") or None
+
+GROUPED_CONFIG = dict(k=0.05, tau_max=40, seed=6, ulb_interval=10)
+
+
+@pytest.fixture(scope="module")
+def grouped_pairs():
+    pairs = large_window(GROUP_MIN_LIVE + 76)
+    assert sum(p.n_bbox_pairs > 0 for p in pairs) >= GROUP_MIN_LIVE
+    return pairs
+
+
+def _grouped_scorer(ledger=None):
+    """A fresh stub scorer on the profile's fault schedule; noise-free, so
+    a resume's fresh model extracts the same features the killed run
+    would have.  A large window's batches extract many new BBoxes, so the
+    retry and breaker budgets are wide enough that flaky ReID still lets
+    the window run to its budget."""
+    model = StubReidModel(seed=9)
+    if ENV_PROFILE is not None:
+        profile = fault_profile(ENV_PROFILE, seed=FAULT_SEED)
+        if profile.injects_reid_faults:
+            model = profile.wrap_model(model)
+    return ResilientReidScorer(
+        ReidScorer(
+            model, cost=CostModel(), telemetry=Telemetry(ledger=ledger)
+        ),
+        retry=RetryPolicy(max_attempts=8, backoff_base_ms=1.0),
+        breaker_policy=BreakerPolicy(failure_threshold=1000),
+    )
+
+
+def _grouped_run(pairs, merger, ledger=None):
+    for pair in pairs:
+        pair.reset_sampling()
+    scorer = _grouped_scorer(ledger)
+    return _merge_fingerprint(merger.run(pairs, scorer), scorer)
+
+
+@pytest.fixture
+def grouped_selections(monkeypatch):
+    """Counts the selections the class index makes."""
+    calls = []
+    select = PosteriorClassIndex.select
+
+    def spy(self, *args, **kwargs):
+        calls.append(1)
+        return select(self, *args, **kwargs)
+
+    monkeypatch.setattr(PosteriorClassIndex, "select", spy)
+    return calls
+
+
+class TestGroupedDraw:
+    def test_batch_one_is_the_scalar_path(
+        self, grouped_pairs, grouped_selections
+    ):
+        scalar = _grouped_run(
+            grouped_pairs, TMerge(batch_size=None, **GROUPED_CONFIG)
+        )
+        batch_one = _grouped_run(
+            grouped_pairs, TMerge(batch_size=1, **GROUPED_CONFIG)
+        )
+        assert grouped_selections
+        assert batch_one == scalar
+
+    def test_mid_window_resume_bit_identical(
+        self, grouped_pairs, grouped_selections
+    ):
+        """A window killed mid-run resumes from its checkpoint to the
+        uninterrupted result: the class index is rebuilt from (S, F,
+        eligible) and the draw consumes the RNG identically."""
+        config = dict(
+            GROUPED_CONFIG, batch_size=ENV_BATCH, checkpoint_interval=10
+        )
+        store = CheckpointStore()
+        captured = {}
+        save = store.save
+
+        def spy(key, state):
+            if state["tau"] == 20:
+                captured["payload"] = json.loads(json.dumps(state))
+            save(key, state)
+
+        store.save = spy
+        reference = _grouped_run(
+            grouped_pairs, TMerge(checkpoint_store=store, **config)
+        )
+        assert "payload" in captured and grouped_selections
+
+        resume_store = CheckpointStore()
+        resume_store.save(
+            [list(p.key) for p in grouped_pairs], captured["payload"]
+        )
+        for pair in grouped_pairs:
+            pair.reset_sampling()
+        scorer = _grouped_scorer()
+        resumed = TMerge(checkpoint_store=resume_store, **config).run(
+            grouped_pairs, scorer
+        )
+        assert _merge_fingerprint(resumed, scorer) == reference
+
+    def test_ledger_is_transparent(self, grouped_pairs, grouped_selections):
+        merger = TMerge(batch_size=ENV_BATCH, **GROUPED_CONFIG)
+        ledger = DecisionLedger()
+        with_ledger = _grouped_run(grouped_pairs, merger, ledger=ledger)
+        assert with_ledger == _grouped_run(grouped_pairs, merger)
+        samples = [e for e in ledger if e.kind == EVENT_SAMPLE]
+        assert samples and grouped_selections
+        take = 1 if ENV_BATCH == 1 else ENV_BATCH
+        for event in samples:
+            assert len(event.data["arms"]) == len(event.data["theta"])
+            assert len(event.data["arms"]) == take
+
+    @pytest.mark.parametrize(
+        "name, batch_size", (("scalar", None), ("batched_b8", 8))
+    )
+    def test_below_cutoff_keeps_the_per_arm_draw(
+        self, name, batch_size, grouped_selections
+    ):
+        """One arm short of the cutoff, every iteration draws per arm,
+        reproducing the fingerprints captured before the grouped draw."""
+        with open(FIXTURES / "tmerge_below_cutoff_golden.json") as fh:
+            golden = json.load(fh)[name]
+        pairs = large_window(GROUP_MIN_LIVE - 1)
+        scorer = stub_scorer(noise=0.05, seed=9)
+        result = TMerge(
+            k=0.05, tau_max=60, seed=0, batch_size=batch_size
+        ).run(pairs, scorer)
+        fingerprint = _merge_fingerprint(result, scorer)
+        scores = json.dumps(fingerprint.pop("scores"))
+        fingerprint["scores_sha256"] = hashlib.sha256(
+            scores.encode()
+        ).hexdigest()
+        assert fingerprint == golden
+        assert not grouped_selections

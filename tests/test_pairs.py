@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import make_track
+from helpers import EXACTNESS_ALPHA, chi_square_uniform, make_track
 
 from repro.core.pairs import TrackPair, build_track_pairs, spatial_distance
 
@@ -39,6 +39,69 @@ class TestTrackPair:
         assert len(pairs) == 6
         assert len(set(pairs)) == 6
         assert all(0 <= ia < 2 and 0 <= ib < 3 for ia, ib in pairs)
+
+
+class TestSamplingIsUniform:
+    """``sample_bbox_pair`` draws uniformly among the unseen BBox pairs
+    (Alg. 2 line 7), by rejection while under 75% of the pool is
+    sampled and by enumerating the rest above it; chi-square tests at
+    ``EXACTNESS_ALPHA`` with fixed seeds."""
+
+    @staticmethod
+    def _next_draw_counts(pair, seen, trials, seed):
+        """Counts of the next draw's flat index from history ``seen``."""
+        rng = np.random.default_rng(seed)
+        counts = dict.fromkeys(
+            sorted(set(range(pair.n_bbox_pairs)) - set(seen)), 0
+        )
+        n_b = len(pair.track_b)
+        for _ in range(trials):
+            pair.restore_sampled(seen)
+            ia, ib = pair.sample_bbox_pair(rng)
+            counts[ia * n_b + ib] += 1
+        return list(counts.values())
+
+    @pytest.mark.parametrize(
+        "n_seen, regime", ((5, "rejection"), (16, "enumeration"))
+    )
+    def test_next_draw_uniform_over_the_unseen(self, n_seen, regime):
+        pair = TrackPair(make_track(0, [0, 1, 2, 3]), make_track(1, range(5)))
+        seen = np.random.default_rng(n_seen).permutation(20)[:n_seen]
+        assert (n_seen < 0.75 * 20) == (regime == "rejection")
+        counts = self._next_draw_counts(pair, seen.tolist(), 4000, seed=3)
+        assert len(counts) == 20 - n_seen
+        assert chi_square_uniform(counts) > EXACTNESS_ALPHA
+
+    def test_whole_orders_uniform_across_both_regimes(self):
+        """Every order of a 2×2 pair's four BBox pairs is equally likely;
+        the third and fourth draws come from the enumeration fallback."""
+        pair = TrackPair(make_track(0, [0, 1]), make_track(1, [5, 6]))
+        rng = np.random.default_rng(8)
+        counts: dict = {}
+        for _ in range(4800):
+            pair.reset_sampling()
+            order = tuple(pair.sample_bbox_pairs(4, rng))
+            counts[order] = counts.get(order, 0) + 1
+        assert len(counts) == 24
+        assert chi_square_uniform(list(counts.values())) > EXACTNESS_ALPHA
+
+    def test_continues_uniformly_after_restore(self):
+        """A history restored from a checkpoint capture is honoured: the
+        draws go on uniformly over what was never drawn, and never repeat."""
+        source = TrackPair(make_track(0, [0, 1, 2]), make_track(1, range(4)))
+        rng = np.random.default_rng(1)
+        source.sample_bbox_pairs(4, rng)
+        captured = source.sampled_state()
+
+        pair = TrackPair(make_track(0, [0, 1, 2]), make_track(1, range(4)))
+        counts = self._next_draw_counts(pair, captured, 4000, seed=5)
+        assert chi_square_uniform(counts) > EXACTNESS_ALPHA
+
+        pair.restore_sampled(captured)
+        rest = pair.sample_bbox_pairs(20, rng)
+        flats = {ia * 4 + ib for ia, ib in rest}
+        assert len(rest) == len(flats) == 12 - len(captured)
+        assert flats.isdisjoint(captured)
 
 
 class TestSamplingWithoutReplacement:
