@@ -2,7 +2,7 @@
 
 The §IV-F batched variant exists to amortize per-invocation overhead; this
 bench measures what that buys on the *wall clock* now that the inner loop
-is vectorized (DESIGN.md §13).  Scalar TMerge and TMerge-B8 run the same
+is vectorized (DESIGN.md §6.2).  Scalar TMerge and TMerge-B8 run the same
 MOT-17-like workload at a matched observation budget (τ_scalar = B ·
 τ_batched, one observation per arm per iteration), so wall-clock per
 observation is directly comparable.

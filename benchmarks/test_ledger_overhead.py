@@ -2,7 +2,7 @@
 
 Runs the same MOT-17-like evaluation twice: plain, and with a
 :class:`~repro.provenance.DecisionLedger` plus full telemetry attached.
-The transparency contract (DESIGN.md §14) says recording never touches
+The transparency contract (DESIGN.md §11) says recording never touches
 the algorithm: recall, ReID invocations and the simulated clock must be
 *bit-identical*, and that is asserted here — a strictly stronger check
 than the gate's 5% simulated-ms tolerance, which guards the same number

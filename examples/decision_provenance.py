@@ -2,7 +2,7 @@
 """Scenario: *why* did the merger accept — or prune — this track pair?
 
 Aggregate metrics say how well TMerge did; the decision-provenance
-ledger (DESIGN.md §14) says *why* each individual call went the way it
+ledger (DESIGN.md §11) says *why* each individual call went the way it
 did.  This example attaches a :class:`~repro.provenance.DecisionLedger`
 to a seeded ingestion run (pure observation — the merge results are
 bit-identical with it on or off), exports the event log to JSONL the

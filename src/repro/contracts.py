@@ -17,7 +17,7 @@ anchors:
   certainly inside and certainly outside the top-K).
 * The grouped Thompson draw's class index equals a rebuild from the
   window state, and its selections are distinct live arms with
-  ``θ ∈ [0, 1]`` (§IV Thompson step, DESIGN.md §13.6).
+  ``θ ∈ [0, 1]`` (§IV Thompson step, DESIGN.md §6.2).
 * The window length satisfies ``L ≥ 2·L_max`` when a maximum track
   length is declared (§II — guarantees a fragmented GT track cannot
   out-span two consecutive windows).
@@ -276,7 +276,7 @@ def check_shard_cover(
         )
 
 
-#: Legal circuit-breaker transitions (see DESIGN.md §7): the breaker may
+#: Legal circuit-breaker transitions (see DESIGN.md §10): the breaker may
 #: trip from closed, cool down from open, and resolve a trial either way.
 LEGAL_BREAKER_TRANSITIONS = frozenset(
     {

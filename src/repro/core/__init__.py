@@ -32,7 +32,6 @@ from repro.core.merge import merge_tracks, UnionFind
 from repro.core.pipeline import (
     IngestionPipeline,
     IngestionResult,
-    merger_with_batch_size,
     run_resilient_window,
 )
 
@@ -56,6 +55,5 @@ __all__ = [
     "UnionFind",
     "IngestionPipeline",
     "IngestionResult",
-    "merger_with_batch_size",
     "run_resilient_window",
 ]

@@ -8,7 +8,6 @@ together and returns everything the evaluation and query layers need.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -97,33 +96,6 @@ class Merger(Protocol):
     def name(self) -> str: ...
 
     def run(self, pairs: list[TrackPair], scorer: ReidScorer) -> MergeResult: ...
-
-
-def merger_with_batch_size(merger: Merger, batch_size: int | None) -> Merger:
-    """Shallow-copy ``merger`` with its ``batch_size`` overridden.
-
-    The run-level seam behind the pipeline/streaming ``batch_size``
-    knobs (and the ``REPRO_BATCH_SIZE`` CI dimension): ``None`` leaves
-    the merger untouched, any integer ≥ 1 returns a copy configured
-    with that batch size (``1`` forces the scalar path — see
-    :class:`~repro.core.tmerge.TMerge`).  The copy is shallow, so a
-    configured checkpoint store keeps being shared.
-
-    Raises:
-        TypeError: if the merger has no ``batch_size`` attribute (e.g.
-            the BL baseline, which has no batched variant).
-    """
-    if batch_size is None:
-        return merger
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    if not hasattr(merger, "batch_size"):
-        raise TypeError(
-            f"merger {merger.name!r} does not support a batch_size override"
-        )
-    clone = copy.copy(merger)
-    clone.batch_size = batch_size
-    return clone
 
 
 def build_window_runtime(
@@ -382,12 +354,6 @@ class IngestionPipeline:
         parallel_backend: pool flavour for ``workers`` ≥ 2 —
             ``"process"`` (default, real CPU parallelism) or
             ``"thread"`` (shared memory, GIL-bound).
-        batch_size: run-level override of the merger's ``batch_size``
-            (see :func:`merger_with_batch_size`).  ``None`` (default)
-            runs the merger as configured; ``1`` forces the scalar
-            sampling path; ``B > 1`` runs the batched §IV-F variant.
-            The merger itself is never mutated — each run works on a
-            configured copy.
         ledger: optional injected
             :class:`~repro.provenance.DecisionLedger`.  When set, it
             rides on the run's Telemetry and the merger records one
@@ -414,7 +380,6 @@ class IngestionPipeline:
     telemetry: Telemetry | None = None
     workers: int | None = None
     parallel_backend: str = "process"
-    batch_size: int | None = None
     ledger: DecisionLedger | None = None
 
     def _resilience(self) -> ResilienceConfig | None:
@@ -455,7 +420,6 @@ class IngestionPipeline:
         # Imported lazily: repro.parallel imports this module.
         from repro.parallel import run_windows
 
-        merger = merger_with_batch_size(self.merger, self.batch_size)
         telemetry = Telemetry.for_run(self.telemetry, self.ledger)
         resilience = self._resilience()
         windows = partition_windows(
@@ -469,7 +433,9 @@ class IngestionPipeline:
             for c in range(len(windows))
         ]
         ingest = dict(
-            method=merger.name, n_windows=len(windows), n_tracks=len(tracks)
+            method=self.merger.name,
+            n_windows=len(windows),
+            n_tracks=len(tracks),
         )
         if self.workers is not None:
             with telemetry.span(
@@ -481,7 +447,7 @@ class IngestionPipeline:
                 run = run_windows(
                     world=world,
                     window_pairs=window_pairs,
-                    merger=merger,
+                    merger=self.merger,
                     cost_params=self.cost_params,
                     reid_seed=self.reid_seed,
                     fault_profile=self.fault_profile,
@@ -515,8 +481,8 @@ class IngestionPipeline:
                     ):
                         if pairs:
                             result = run_resilient_window(
-                                merger, c, pairs, scorer, cost, resilience,
-                                crasher,
+                                self.merger, c, pairs, scorer, cost,
+                                resilience, crasher,
                             )
                             if contracts.ENABLED:
                                 contracts.check_top_k_budget(
@@ -525,7 +491,7 @@ class IngestionPipeline:
                                     where="IngestionPipeline",
                                 )
                         else:
-                            result = empty_merge_result(merger)
+                            result = empty_merge_result(self.merger)
                         window_results.append(result)
                     telemetry.observe(
                         "window.merge_ms", result.simulated_seconds * 1000.0

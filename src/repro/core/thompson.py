@@ -6,7 +6,7 @@ side — so on a large window thousands of live arms share a few dozen
 ``(S, F)`` states.  Arms in one state are exchangeable, and a Thompson
 iteration only needs the ``B`` smallest of the live arms' θ.  The
 :class:`PosteriorClassIndex` therefore draws per class instead of per arm
-(the threshold method, DESIGN.md §13.6):
+(the threshold method, DESIGN.md §6.2):
 
 1. Pick the first point ``x*`` of a fixed geometric grid at which the
    expected number of draws at or below it, ``Σ_c m_c·I_{x*}(S_c, F_c)``,

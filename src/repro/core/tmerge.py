@@ -10,7 +10,7 @@ distant").  The batched variant pulls the ``B`` smallest-θ arms at once and
 evaluates their BBox pairs in one simulated GPU call, preserving sample
 diversity — the reason TMerge-B scales with ``B`` while LCB-B does not.
 
-The per-iteration hot path is vectorized (DESIGN.md §13).  The Thompson
+The per-iteration hot path is vectorized (DESIGN.md §6.2).  The Thompson
 step has two regimes, chosen per iteration by the live-arm count alone:
 
 * below :data:`~repro.core.thompson.GROUP_MIN_LIVE` live arms it is one
@@ -19,7 +19,7 @@ step has two regimes, chosen per iteration by the live-arm count alone:
 * at or above it, a :class:`~repro.core.thompson.PosteriorClassIndex`
   draws once per posterior class ``(S, F)`` instead of once per arm —
   *exact in distribution* (the same law for the selected arms and their
-  θ), not in bits (DESIGN.md §13.6).
+  θ), not in bits (DESIGN.md §6.2).
 
 Batched observations flow through
 :meth:`~repro.reid.scorer.ReidScorer.normalized_distances_batched` in one
@@ -105,7 +105,7 @@ class TMerge:
     land next to the ReID-cost counters, and when that Telemetry carries
     a :class:`~repro.provenance.DecisionLedger` the run records one
     decision event per iteration, ULB pass and degradation (DESIGN.md
-    §14).  Observation never consumes the RNG stream or touches the
+    §11).  Observation never consumes the RNG stream or touches the
     simulated clock, so results are bit-identical with it on or off.
     The ledger state rides inside checkpoints, so a killed-and-resumed
     window reconstructs its decision log bit-exactly.
@@ -159,7 +159,7 @@ class TMerge:
         return f"TMerge-B{self.batch_size}"
 
     @property
-    def _effective_batch(self) -> int | None:
+    def effective_batch(self) -> int | None:
         """The batch size actually used by the sampling loop.
 
         ``batch_size=1`` is the scalar algorithm — one arg-min arm, one
@@ -232,7 +232,7 @@ class TMerge:
             pairs=window_key,
             n_pairs=n,
             budget=budget,
-            batch=self._effective_batch,
+            batch=self.effective_batch,
             seed=self.seed,
         )
 
@@ -424,10 +424,10 @@ class TMerge:
         scorer: ReidScorer,
         ledger: DecisionLedger | None,
     ) -> dict:
-        """Full pure-JSON snapshot of a mid-window run (see DESIGN.md §7)."""
+        """Full pure-JSON snapshot of a mid-window run (DESIGN.md §6.5)."""
         return {
             "version": CHECKPOINT_VERSION,
-            "batch": self._effective_batch,
+            "batch": self.effective_batch,
             "tau": tau,
             "iterations": iterations,
             "start_seconds": float(start_seconds),
@@ -475,10 +475,10 @@ class TMerge:
                 "re-run from scratch"
             )
         saved_batch = saved.get("batch")
-        if saved_batch != self._effective_batch:
+        if saved_batch != self.effective_batch:
             raise ValueError(
                 f"checkpoint was written with batch={saved_batch!r} but "
-                f"this run uses batch={self._effective_batch!r}; resuming "
+                f"this run uses batch={self.effective_batch!r}; resuming "
                 "across batch sizes would diverge from the interrupted run"
             )
 
@@ -499,12 +499,12 @@ class TMerge:
         the arg-min, the batched path the B smallest θ via argpartition,
         ordered by θ — the stream-exact historical draw.  With one, the
         index draws per posterior class (exact in distribution, DESIGN.md
-        §13.6).  Returns ``(arm_indices, theta_values)`` as parallel
+        §6.2).  Returns ``(arm_indices, theta_values)`` as parallel
         arrays ordered by θ — the θ values are a pure read-out of draws
         already made (the ledger records them without consuming any extra
         RNG).
         """
-        batch = self._effective_batch
+        batch = self.effective_batch
         take = 1 if batch is None else min(batch, live.size)
         if classes is not None:
             return classes.select(successes, failures, rng, take)
@@ -532,7 +532,7 @@ class TMerge:
         sampling stays a per-arm loop: rejection sampling is data-
         dependent, and the loop preserves the historical RNG draw order.
         """
-        if self._effective_batch is None:
+        if self.effective_batch is None:
             arm = int(selected[0])
             pair = pairs[arm]
             ia, ib = pair.sample_bbox_pair(rng)

@@ -321,7 +321,7 @@ def run_telemetry(args: argparse.Namespace) -> int:
     spans = telemetry.tracer.spans
     footer = (
         f"spans recorded: {len(spans)} "
-        f"(export with Tracer.export_jsonl; schema in DESIGN.md §8)"
+        f"(export with Tracer.export_jsonl; schema in DESIGN.md §11)"
     )
     print("\n\n".join([table, telemetry.report(), footer]))
     return 0

@@ -11,7 +11,7 @@ default).  Simulated milliseconds are recorded for inspection but not
 gated — they track invocations closely and double-gating one regression
 would double the noise surface.
 
-The baseline-refresh procedure is documented in DESIGN.md §8 and the
+The baseline-refresh procedure is documented in DESIGN.md §12.2 and the
 README's Observability walkthrough: re-run the smoke benchmarks, inspect
 the diff, and commit the regenerated file alongside the change that
 legitimately moved the numbers.

@@ -1,7 +1,7 @@
 """The ``bench-perf`` lane: batched-vs-scalar hot-path microbenchmark.
 
 Measures the wall-clock cost per ReID observation of the scalar TMerge
-sampler against the vectorized batched sampler (TMerge-B, DESIGN.md §13)
+sampler against the vectorized batched sampler (TMerge-B, DESIGN.md §6.2)
 on the same MOT-17-like workload at a matched observation budget
 (``tau_scalar = B * tau_batched``), and emits a machine-readable
 ``perf_summary.json`` for the CI ``bench-perf`` lane.

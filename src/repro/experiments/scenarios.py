@@ -268,19 +268,6 @@ def gate_matrix(
     return failures
 
 
-def gate_matrix_files(
-    current_path: str | Path,
-    baseline_path: str | Path,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> list[str]:
-    """File-level wrapper around :func:`gate_matrix` for the CLI."""
-    return gate_matrix(
-        load_matrix(current_path),
-        load_matrix(baseline_path),
-        tolerance=tolerance,
-    )
-
-
 def merge_into_summary(
     document: dict, summary_path: str | Path
 ) -> Path:

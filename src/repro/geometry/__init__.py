@@ -7,7 +7,7 @@ matching — is built from the helpers in this package.
 """
 
 from repro.geometry.box import BBox, center_distance, clip_bbox
-from repro.geometry.iou import iou, iou_matrix, pairwise_center_distances
+from repro.geometry.iou import iou, iou_matrix
 
 __all__ = [
     "BBox",
@@ -15,5 +15,4 @@ __all__ = [
     "clip_bbox",
     "iou",
     "iou_matrix",
-    "pairwise_center_distances",
 ]

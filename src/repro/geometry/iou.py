@@ -1,7 +1,7 @@
 """Intersection-over-union and vectorized pairwise geometry.
 
 IoU drives (a) tracker association costs (SORT and friends) and (b) the
-CLEAR-MOT ground-truth matching used to label polyonymous track pairs.
+ground-truth matching used to label polyonymous track pairs.
 The matrix forms operate on ``(N, 4)`` float arrays in ``xyxy`` layout so the
 trackers can stay vectorized on dense scenes.
 """
@@ -53,16 +53,3 @@ def iou_matrix(boxes_a: list[BBox], boxes_b: list[BBox]) -> np.ndarray:
         result = np.where(union > 0, inter / union, 0.0)
     return result
 
-
-def pairwise_center_distances(
-    boxes_a: list[BBox], boxes_b: list[BBox]
-) -> np.ndarray:
-    """Pairwise Euclidean distances between box centers."""
-    arr_a = boxes_to_array(boxes_a)
-    arr_b = boxes_to_array(boxes_b)
-    centers_a = (arr_a[:, :2] + arr_a[:, 2:]) / 2.0
-    centers_b = (arr_b[:, :2] + arr_b[:, 2:]) / 2.0
-    if centers_a.shape[0] == 0 or centers_b.shape[0] == 0:
-        return np.zeros((centers_a.shape[0], centers_b.shape[0]))
-    diff = centers_a[:, None, :] - centers_b[None, :, :]
-    return np.sqrt((diff**2).sum(axis=2))

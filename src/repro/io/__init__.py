@@ -5,8 +5,6 @@
   This is how a deployment would feed *real* tracker output (instead of the
   simulator's) into TMerge, and how merged results would be handed to
   standard evaluation tooling.
-* :mod:`repro.io.results` — JSON round-tripping for merge results and
-  experiment points.
 """
 
 from repro.io.motchallenge import (
@@ -16,11 +14,6 @@ from repro.io.motchallenge import (
     write_tracks_mot,
     world_to_mot_gt,
 )
-from repro.io.results import (
-    merge_result_to_dict,
-    save_points_json,
-    load_points_json,
-)
 
 __all__ = [
     "read_detections_mot",
@@ -28,7 +21,4 @@ __all__ = [
     "write_detections_mot",
     "write_tracks_mot",
     "world_to_mot_gt",
-    "merge_result_to_dict",
-    "save_points_json",
-    "load_points_json",
 ]

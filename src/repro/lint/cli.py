@@ -26,7 +26,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.lint",
         description=(
             "Repo-specific static analysis for the TMerge stack: per-file "
-            "AST rules (REPRO001-011)."
+            "AST rules (REPRO001-010)."
         ),
     )
     parser.add_argument(

@@ -4,8 +4,6 @@
   (the [30]-style procedure the paper uses to label polyonymous pairs).
 * :mod:`repro.metrics.recall` — the paper's REC metric (Eq. 3) and REC-K
   curves (Figure 3).
-* :mod:`repro.metrics.clearmot` — CLEAR-MOT: MOTA, ID switches,
-  fragmentations.
 * :mod:`repro.metrics.identity` — identity metrics IDF1 / IDP / IDR
   (Figure 12).
 """
@@ -22,7 +20,6 @@ from repro.metrics.recall import (
     average_recall,
     rec_k_curve,
 )
-from repro.metrics.clearmot import ClearMotResult, evaluate_clearmot
 from repro.metrics.identity import IdentityResult, evaluate_identity
 
 __all__ = [
@@ -34,8 +31,6 @@ __all__ = [
     "window_recall",
     "average_recall",
     "rec_k_curve",
-    "ClearMotResult",
-    "evaluate_clearmot",
     "IdentityResult",
     "evaluate_identity",
 ]

@@ -9,7 +9,7 @@ the full decision chain for any pair from the live ledger or a JSONL
 export (the ``python -m repro.experiments explain`` CLI).
 
 The ledger rides on the run's :class:`~repro.telemetry.Telemetry`
-(DESIGN.md §8, §14): always injected (lint rule REPRO010), off by
+(DESIGN.md §11): always injected (lint rule REPRO010), off by
 default, and bit-transparent — recording never touches RNG state or the
 simulated clock, so ledger-enabled runs are bit-identical to plain ones
 across seeds, fault profiles, worker counts and batch sizes

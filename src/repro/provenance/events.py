@@ -2,7 +2,7 @@
 
 Every event a :class:`~repro.provenance.ledger.DecisionLedger` holds is a
 :class:`DecisionEvent` — a small, pure-JSON record of one step of the
-TMerge decision procedure (DESIGN.md §14).  The schema is deliberately
+TMerge decision procedure (DESIGN.md §11).  The schema is deliberately
 narrow: a sequence number, the owning window, the decision kind (one of
 the reason codes below), the iteration τ it happened at, and a
 kind-specific ``data`` payload of plain lists/floats/ints.  Everything

@@ -161,7 +161,7 @@ class SimReIDModel:
         params = self.params
         latent = self._latent_for(detection)
         # Scalar clip and ``sqrt(x.dot(x))`` are numpy's clip and 1-D norm
-        # bit for bit, without the per-call overhead (DESIGN.md §13.5).
+        # bit for bit, without the per-call overhead (DESIGN.md §9.3).
         occlusion = 1.0 - min(max(float(detection.visibility), 0.0), 1.0)
         noise_scale = params.base_noise + params.occlusion_noise * occlusion
         # Per-crop quality: heavy-tailed multiplier plus occasional garbage

@@ -39,7 +39,7 @@ FeatureKey = tuple[int, int]  # (track_id, observation index)
 def normalize_distance(distance: float) -> float:
     """Map a raw feature distance in [0, 2] to the paper's d̃ ∈ [0, 1].
 
-    ``min(max(·))`` is numpy's scalar clip, NaN included (DESIGN.md §13.5).
+    ``min(max(·))`` is numpy's scalar clip, NaN included (DESIGN.md §9.3).
     """
     return min(max(float(distance) / _MAX_DISTANCE, 0.0), 1.0)
 
@@ -49,7 +49,7 @@ def feature_distance(fa: np.ndarray, fb: np.ndarray) -> float:
 
     Bit for bit ``float(np.linalg.norm(fa - fb))``: numpy computes that
     norm as ``sqrt(x.dot(x))``, and both square roots are correctly
-    rounded (DESIGN.md §13.5).
+    rounded (DESIGN.md §9.3).
     """
     d = fa - fb
     return math.sqrt(d.dot(d))

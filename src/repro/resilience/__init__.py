@@ -3,7 +3,7 @@
 Everything here operates on the *simulated* clock
 (:class:`~repro.reid.cost.CostModel`) so that fault handling is part of
 the reproducible experiment, not a source of wall-time nondeterminism.
-See DESIGN.md §7 for the failure model this layer implements.
+See DESIGN.md §10 for the failure model this layer implements.
 """
 
 from repro.resilience.breaker import (

@@ -34,7 +34,6 @@ from repro.scenarios.matrix import (
     SMOKE_FRAMES,
     SMOKE_SUBSET,
     scenario_by_name,
-    scenario_names,
     smoke_variant,
 )
 from repro.scenarios.spec import ID_HEX_CHARS, ScenarioSpec
@@ -56,7 +55,6 @@ __all__ = [
     "SMOKE_FRAMES",
     "SMOKE_SUBSET",
     "scenario_by_name",
-    "scenario_names",
     "smoke_variant",
     "ID_HEX_CHARS",
     "ScenarioSpec",

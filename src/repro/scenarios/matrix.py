@@ -157,11 +157,6 @@ SMOKE_SUBSET: tuple[str, ...] = (
 )
 
 
-def scenario_names() -> tuple[str, ...]:
-    """All matrix scenario names, in matrix order."""
-    return tuple(spec.name for spec in SCENARIO_MATRIX)
-
-
 def scenario_by_name(name: str) -> ScenarioSpec:
     """Look up a matrix spec by name.
 

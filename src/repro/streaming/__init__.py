@@ -1,4 +1,4 @@
-"""Streaming ingestion: online, watermark-driven TMerge (DESIGN.md §10).
+"""Streaming ingestion: online, watermark-driven TMerge (DESIGN.md §8.3).
 
 The online counterpart of the batch pipeline: events arrive from a
 replayable source, windows open and close incrementally under a

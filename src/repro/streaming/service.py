@@ -52,7 +52,6 @@ from repro.core.pairs import TrackPair, build_track_pairs
 from repro.core.pipeline import (
     Merger,
     empty_merge_result,
-    merger_with_batch_size,
     spatial_fallback_result,
 )
 from repro.core.results import MergeResult
@@ -80,11 +79,13 @@ from repro.telemetry import Telemetry
 from repro.track.base import Track, Tracker
 
 #: Checkpoint schema version (bump on incompatible layout changes); a
-#: resume accepts only this one.  v3 carries the backpressure verdict and
-#: the decision ledger's header — its counters plus the length of the
-#: store journal holding its events — or ``None`` when the service
-#: records no provenance.
-CHECKPOINT_VERSION = 3
+#: resume accepts only this one.  The snapshot carries the backpressure
+#: verdict, the decision ledger's header — its counters plus the length
+#: of the store journal holding its events, or ``None`` when the service
+#: records no provenance — and, since v4, the ``window_length`` and the
+#: merger's batch it was written with, so a resume under another
+#: configuration is refused instead of emitting shifted windows.
+CHECKPOINT_VERSION = 4
 
 
 @dataclass
@@ -219,12 +220,6 @@ class StreamingIngestionService:
         workers: fan-out for simultaneously-ready windows (≥ 1); any
             value produces bit-identical emissions.
         parallel_backend: ``"process"`` or ``"thread"``.
-        batch_size: run-level override of the merger's ``batch_size``
-            (``None`` keeps the merger as configured, ``1`` forces the
-            scalar sampling path, ``B > 1`` the batched §IV-F variant —
-            see :func:`~repro.core.pipeline.merger_with_batch_size`).
-            Applied once at construction; determinism stays a pure
-            function of ``(seed, window index, batch_size)``.
         store: the durable write-ahead state.  ``None`` runs without
             restart capability (no snapshots are written).
         checkpoint_key: snapshot key within the store (one store can
@@ -251,7 +246,6 @@ class StreamingIngestionService:
         parallel_backend: str = "process",
         store: CheckpointStore | None = None,
         checkpoint_key: str = "stream",
-        batch_size: int | None = None,
     ) -> None:
         if window_length < 2:
             raise ValueError("window_length must be >= 2")
@@ -260,8 +254,7 @@ class StreamingIngestionService:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.tracker = tracker
-        self.merger = merger_with_batch_size(merger, batch_size)
-        self.batch_size = batch_size
+        self.merger = merger
         self.window_length = window_length
         self.stride = window_length // 2
         self.allowed_lateness = allowed_lateness
@@ -325,6 +318,19 @@ class StreamingIngestionService:
         self._telemetry.count(name, amount)
 
     @property
+    def _merger_batch(self) -> int | None:
+        """The batch the merger samples with (``None``: one pair a step).
+
+        TMerge runs ``batch_size=1`` as its scalar path, so it reports
+        both as ``None``; other mergers report their ``batch_size``.
+        """
+        return getattr(
+            self.merger,
+            "effective_batch",
+            getattr(self.merger, "batch_size", None),
+        )
+
+    @property
     def n_resident_windows(self) -> int:
         """Windows currently holding track state (open + retained prev)."""
         return len(self.open_windows) + (1 if self.prev_tracks else 0)
@@ -355,6 +361,8 @@ class StreamingIngestionService:
             self._journaled_seq = ledger.n_recorded
         payload = {
             "version": CHECKPOINT_VERSION,
+            "window_length": self.window_length,
+            "batch": self._merger_batch,
             "position": self.position,
             "now_ms": self.now_ms,
             "watermark": self.watermark.state_dict(),
@@ -402,6 +410,17 @@ class StreamingIngestionService:
                 f"checkpoint version {version!r} is not supported: this "
                 f"service resumes only version {CHECKPOINT_VERSION}"
             )
+        for name, current in (
+            ("window_length", self.window_length),
+            ("batch", self._merger_batch),
+        ):
+            if payload[name] != current:
+                raise ValueError(
+                    f"checkpoint {key} was written with {name}="
+                    f"{payload[name]!r} but this service runs with "
+                    f"{name}={current!r}; resuming would not continue "
+                    "the interrupted run"
+                )
         ledger = self._telemetry.ledger
         if ledger is not None and payload["ledger"] is None:
             # A snapshot written without a ledger: resuming it into a

@@ -32,7 +32,6 @@ from repro.synth.datasets import (
     mot17_like,
     kitti_like,
     pathtrack_like,
-    make_dataset,
 )
 
 __all__ = [
@@ -53,5 +52,4 @@ __all__ = [
     "mot17_like",
     "kitti_like",
     "pathtrack_like",
-    "make_dataset",
 ]

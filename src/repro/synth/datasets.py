@@ -16,10 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.synth.scene import SceneConfig
-from repro.synth.world import VideoGroundTruth, simulate_world
 
 
 @dataclass(frozen=True)
@@ -146,27 +143,3 @@ def preset_by_name(name: str) -> DatasetPreset:
         raise KeyError(
             f"unknown dataset preset {name!r}; choose from {sorted(_PRESETS)}"
         ) from None
-
-
-def make_dataset(
-    preset: DatasetPreset | str,
-    n_videos: int | None = None,
-    video_frames: int | None = None,
-    seed: int = 0,
-) -> list[VideoGroundTruth]:
-    """Simulate a list of GT videos for a preset.
-
-    Args:
-        preset: a :class:`DatasetPreset` or its name.
-        n_videos: override the number of videos (benches use small counts).
-        video_frames: override per-video length.
-        seed: base seed; video ``i`` uses ``seed + i``.
-    """
-    if isinstance(preset, str):
-        preset = preset_by_name(preset)
-    count = n_videos if n_videos is not None else preset.n_videos
-    frames = video_frames if video_frames is not None else preset.video_frames
-    return [
-        simulate_world(preset.config, frames, seed=seed + i)
-        for i in range(count)
-    ]

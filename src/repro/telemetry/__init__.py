@@ -23,7 +23,7 @@ run records decisions, rides on it.  Module-level observer singletons
 are a lint violation (REPRO010).  Components record into the Telemetry
 they are handed without asking whether anyone is watching; recording
 never touches RNG state or the simulated clock, so results are
-bit-identical with observation on or off (DESIGN.md §8).
+bit-identical with observation on or off (DESIGN.md §11).
 """
 
 from repro.telemetry.facade import Telemetry
@@ -43,7 +43,6 @@ from repro.telemetry.profiling import FunctionStats, Profiler, profiled
 from repro.telemetry.tracing import (
     Span,
     Tracer,
-    load_spans_jsonl,
     spans_from_jsonl,
 )
 
@@ -58,7 +57,6 @@ __all__ = [
     "Span",
     "Telemetry",
     "Tracer",
-    "load_spans_jsonl",
     "metric_name",
     "parse_openmetrics",
     "profiled",

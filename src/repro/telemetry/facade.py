@@ -15,7 +15,7 @@ it.  Components record into the Telemetry they are handed and never ask
 whether anyone is watching: an unobserved run records into a private
 instance nobody reads.  Recording never touches RNG state or the
 simulated clock, so results are bit-identical with observation on or
-off (DESIGN.md §8).
+off (DESIGN.md §11).
 """
 
 from __future__ import annotations

@@ -198,9 +198,3 @@ def spans_from_jsonl(text: str) -> list[Span]:
         if line:
             spans.append(Span.from_dict(json.loads(line)))
     return spans
-
-
-def load_spans_jsonl(path: str) -> list[Span]:
-    """Read a JSONL trace file written by :meth:`Tracer.export_jsonl`."""
-    with open(path, encoding="utf-8") as fh:
-        return spans_from_jsonl(fh.read())

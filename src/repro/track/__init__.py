@@ -11,8 +11,6 @@ producers of (fragmented) tracks:
 * :class:`TracktorTracker` — regression-style proxy: propagates each track's
   box to the nearest detection (Bergmann et al., 2019).
 * :class:`UmaTracker` — unified motion + affinity proxy (Yin et al., 2020).
-* :class:`CenterTrackTracker` — point-based association proxy
-  (Zhou et al., 2020).
 
 All consume per-frame :class:`~repro.detect.Detection` lists and emit
 :class:`Track` objects.  They fragment for the same reasons their namesakes
@@ -32,7 +30,6 @@ from repro.track.sort import SortTracker
 from repro.track.deepsort import DeepSortTracker
 from repro.track.tracktor import TracktorTracker
 from repro.track.uma import UmaTracker
-from repro.track.centertrack import CenterTrackTracker
 
 __all__ = [
     "Track",
@@ -48,5 +45,4 @@ __all__ = [
     "DeepSortTracker",
     "TracktorTracker",
     "UmaTracker",
-    "CenterTrackTracker",
 ]

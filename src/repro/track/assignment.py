@@ -13,7 +13,7 @@ and every column holds at most one admissible entry (finite and
 exactly those entries in row order: the clamping sentinel exceeds every
 admissible cost, so any optimal assignment of the clamped matrix contains
 all of them, and filtering leaves nothing else.  Hungarian then runs only
-on frames with conflicts (DESIGN.md §13.5).
+on frames with conflicts (DESIGN.md §9.3).
 """
 
 from __future__ import annotations

@@ -6,7 +6,6 @@ session-scoped; tests must not mutate them.
 
 from __future__ import annotations
 
-import os
 import sys
 from pathlib import Path
 
@@ -14,7 +13,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from helpers import tiny_world  # noqa: E402
+from helpers import env_batch_size, tiny_world  # noqa: E402
 
 from repro.core.pipeline import IngestionPipeline  # noqa: E402
 from repro.core.tmerge import TMerge  # noqa: E402
@@ -60,23 +59,19 @@ def make_pipeline():
     """Factory for the canonical test ingestion pipeline.
 
     Returns a callable accepting :class:`IngestionPipeline` keyword
-    overrides; the defaults (TracktorTracker + a small TMerge) match the
-    historical per-module setups so results stay comparable across test
-    files.
+    overrides; the defaults (TracktorTracker + a small TMerge, batched at
+    :func:`env_batch_size`) match the historical per-module setups so
+    results stay comparable across test files.
     """
 
     def build(**overrides) -> IngestionPipeline:
         config = dict(
             tracker=TracktorTracker(),
-            merger=TMerge(k=0.1, tau_max=300, batch_size=10, seed=3),
+            merger=TMerge(
+                k=0.1, tau_max=300, batch_size=env_batch_size(10), seed=3
+            ),
             window_length=300,
         )
-        # CI chaos-matrix seam: REPRO_BATCH_SIZE forces every pipeline
-        # built here onto one batch size (1 = scalar path, 8 = batched),
-        # unless the test pins batch_size itself.
-        env_batch = os.environ.get("REPRO_BATCH_SIZE")
-        if env_batch:
-            config["batch_size"] = int(env_batch)
         config.update(overrides)
         return IngestionPipeline(**config)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from repro.detect import Detection
@@ -9,6 +11,17 @@ from repro.geometry import BBox
 from repro.synth import SceneConfig, simulate_world
 from repro.synth.world import VideoGroundTruth
 from repro.track.base import Track
+
+
+def env_batch_size(default: int | None) -> int | None:
+    """The TMerge batch size a test fixture builds with.
+
+    CI chaos-matrix seam: ``REPRO_BATCH_SIZE`` re-runs the equivalence
+    suites at one batch size (1 = scalar path, 8 = batched); unset, the
+    fixture's own ``default`` applies.
+    """
+    env_batch = os.environ.get("REPRO_BATCH_SIZE")
+    return int(env_batch) if env_batch else default
 
 
 def make_detection(
@@ -155,7 +168,7 @@ def large_window(n_pairs: int, n_sources: int = 20, track_len: int = 4):
     source form polyonymous pairs) and sits on a 12-column grid 90 px
     apart, so BetaInit's 200 px threshold splits the priors between
     ``Be(1, 1)`` and ``Be(1, 2)``.  Windows this size reach the grouped
-    Thompson draw (DESIGN.md §13.6) when ``n_pairs`` is at least
+    Thompson draw (DESIGN.md §6.2) when ``n_pairs`` is at least
     :data:`~repro.core.thompson.GROUP_MIN_LIVE`.
     """
     from repro.core.pairs import build_track_pairs

@@ -1,4 +1,4 @@
-"""Differential tests for the vectorized batched sampler (DESIGN.md §13).
+"""Differential tests for the vectorized batched sampler (DESIGN.md §6.2).
 
 Three guarantees are enforced here:
 
@@ -8,11 +8,11 @@ Three guarantees are enforced here:
   batched path, with and without ULB/regret.
 * **B=1 ≡ scalar** — ``batch_size=1`` degenerates to the scalar
   algorithm bit-for-bit, across seeds × fault profiles × worker counts
-  (the pipeline-level knob threads end to end).
+  (through the whole pipeline).
 * **Checkpoint compatibility** — a batched run checkpointed mid-window
   resumes bit-identically; mismatched batch sizes and any checkpoint
   version but the current one refuse loudly.
-* **The grouped Thompson draw** (DESIGN.md §13.6) — on windows of at
+* **The grouped Thompson draw** (DESIGN.md §6.2) — on windows of at
   least ``GROUP_MIN_LIVE`` live arms, B=1 still equals the scalar path, a
   mid-window kill and resume equals the uninterrupted run and the ledger
   stays bit-transparent; a window just below the cutoff reproduces the
@@ -36,10 +36,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import StubReidModel, large_window, planted_pairs, stub_scorer
+from helpers import (
+    StubReidModel,
+    env_batch_size,
+    large_window,
+    planted_pairs,
+    stub_scorer,
+)
 
-from repro.core.baseline import BaselineMerger
-from repro.core.pipeline import merger_with_batch_size
 from repro.core.thompson import GROUP_MIN_LIVE, PosteriorClassIndex
 from repro.core.tmerge import CHECKPOINT_VERSION, TMerge
 from repro.faults import fault_profile
@@ -189,7 +193,7 @@ def tracked(chaos_world):
 def test_pipeline_batch_one_matches_scalar(
     make_pipeline, chaos_world, tracked, profile, seed, workers
 ):
-    """The run-level B=1 override is bit-identical to a scalar merger."""
+    """A B=1 TMerge is bit-identical to a scalar one through the pipeline."""
     detections, tracks = tracked
 
     def run(**overrides):
@@ -206,47 +210,17 @@ def test_pipeline_batch_one_matches_scalar(
         )
         return pipeline.run_on_tracks(chaos_world, detections, tracks)
 
-    scalar = run(
-        merger=TMerge(k=0.1, tau_max=300, batch_size=None, seed=3),
-        batch_size=None,
-    )
-    # The default merger is batched (B=10); the knob forces it scalar.
-    batch_one = run(batch_size=1)
+    scalar = run(merger=TMerge(k=0.1, tau_max=300, batch_size=None, seed=3))
+    batch_one = run(merger=TMerge(k=0.1, tau_max=300, batch_size=1, seed=3))
     assert _pipeline_fingerprint(batch_one) == _pipeline_fingerprint(scalar)
-
-
-def test_merger_override_copies_instead_of_mutating():
-    merger = TMerge(k=0.2, batch_size=10, seed=0)
-    clone = merger_with_batch_size(merger, 4)
-    assert clone is not merger
-    assert clone.batch_size == 4
-    assert merger.batch_size == 10
-    assert merger_with_batch_size(merger, None) is merger
-
-
-def test_merger_override_accepts_every_shipped_merger():
-    """All §III/§IV competitors expose the batch knob (BL included)."""
-    assert merger_with_batch_size(BaselineMerger(k=0.1), 8).batch_size == 8
-
-
-def test_merger_override_rejects_unbatchable_merger():
-    class NoBatch:
-        name = "no-batch"
-
-        def run(self, pairs, scorer):
-            raise NotImplementedError
-
-    with pytest.raises(TypeError):
-        merger_with_batch_size(NoBatch(), 8)
-    with pytest.raises(ValueError):
-        merger_with_batch_size(TMerge(), 0)
 
 
 def test_make_pipeline_env_seam(make_pipeline, monkeypatch):
     monkeypatch.setenv("REPRO_BATCH_SIZE", "8")
-    assert make_pipeline().batch_size == 8
-    # An explicit override still wins over the environment.
-    assert make_pipeline(batch_size=2).batch_size == 2
+    assert make_pipeline().merger.batch_size == 8
+    # An explicit merger still wins over the environment.
+    merger = TMerge(batch_size=2)
+    assert make_pipeline(merger=merger).merger is merger
 
 
 # ----------------------------------------------------------------------
@@ -348,7 +322,7 @@ class TestCheckpointCompat:
 # The grouped Thompson draw: windows of at least GROUP_MIN_LIVE live arms
 # ----------------------------------------------------------------------
 #: The batch size under test (the CI chaos matrix sets 1 and 8).
-ENV_BATCH = int(os.environ.get("REPRO_BATCH_SIZE") or 8)
+ENV_BATCH = env_batch_size(8)
 #: The fault profile under test (the CI chaos matrix sets each one).
 ENV_PROFILE = os.environ.get("REPRO_FAULT_PROFILE") or None
 

@@ -1,7 +1,7 @@
 """Golden fingerprints of the tracker, ReID-extract and batched-scorer outputs.
 
 The digests were captured from the reference implementation before the
-association and scoring fast paths (DESIGN.md §13.5) replaced it; they pin
+association and scoring fast paths (DESIGN.md §9.3) replaced it; they pin
 those rewrites to the exact bits it produced: track ids, frames and boxes,
 feature bytes (hence the extraction RNG draw order), distances, and the
 cache counters with their telemetry mirrors.  A digest change here means an

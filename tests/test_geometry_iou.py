@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.geometry import BBox, iou, iou_matrix, pairwise_center_distances
+from repro.geometry import BBox, iou, iou_matrix
 
 
 class TestIou:
@@ -63,19 +63,6 @@ class TestIouMatrix:
         boxes = [BBox(i, i, i + 4, i + 6) for i in range(5)]
         matrix = iou_matrix(boxes, boxes)
         assert np.allclose(matrix, matrix.T)
-
-
-class TestPairwiseCenterDistances:
-    def test_values(self):
-        a = [BBox.from_center(0, 0, 2, 2)]
-        b = [BBox.from_center(3, 4, 2, 2), BBox.from_center(0, 0, 8, 8)]
-        d = pairwise_center_distances(a, b)
-        assert d.shape == (1, 2)
-        assert d[0, 0] == pytest.approx(5.0)
-        assert d[0, 1] == pytest.approx(0.0)
-
-    def test_empty(self):
-        assert pairwise_center_distances([], []).shape == (0, 0)
 
 
 @given(

@@ -1,17 +1,12 @@
-"""Unit tests for repro.io (MOTChallenge interchange and JSON results)."""
+"""Unit tests for repro.io (MOTChallenge interchange)."""
 
 import pytest
 
-from helpers import make_track, stub_scorer, planted_pairs, tiny_world
+from helpers import make_track, tiny_world
 
-from repro.core.baseline import BaselineMerger
-from repro.experiments.sweeps import MethodPoint
 from repro.io import (
-    load_points_json,
-    merge_result_to_dict,
     read_detections_mot,
     read_tracks_mot,
-    save_points_json,
     world_to_mot_gt,
     write_detections_mot,
     write_tracks_mot,
@@ -131,25 +126,3 @@ class TestGtExport:
         assert len(first) == 9
         assert float(first[8]) <= 1.0  # visibility column
 
-
-class TestJsonResults:
-    def test_merge_result_serializes(self):
-        pairs, _ = planted_pairs(n_distinct=3)
-        result = BaselineMerger(k=0.5).run(pairs, stub_scorer())
-        payload = merge_result_to_dict(result)
-        import json
-
-        text = json.dumps(payload)
-        assert result.method in text
-        assert payload["n_pairs"] == len(pairs)
-        assert len(payload["candidates"]) == len(result.candidates)
-
-    def test_points_roundtrip(self, tmp_path):
-        points = [
-            MethodPoint("TMerge", 0.9, 42.0, 3.5, parameter=1000),
-            MethodPoint("BL", 1.0, 5.0, 100.0),
-        ]
-        path = tmp_path / "points.json"
-        save_points_json(points, path)
-        loaded = load_points_json(path)
-        assert loaded == points

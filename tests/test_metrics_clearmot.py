@@ -1,4 +1,4 @@
-"""Unit tests for CLEAR-MOT and identity metrics."""
+"""Unit tests for the identity metrics IDF1 / IDP / IDR (Fig. 12)."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from helpers import make_detection, tiny_scene_config
 
 from repro.core.merge import merge_tracks
 from repro.geometry import BBox
-from repro.metrics.clearmot import evaluate_clearmot
 from repro.metrics.identity import evaluate_identity
 from repro.synth.motion import ConstantVelocity
 from repro.synth.objects import GroundTruthObject, ObjectClass
@@ -53,58 +52,6 @@ def perfect_tracks(world):
             )
         tracks.append(track)
     return tracks
-
-
-class TestClearMot:
-    def test_perfect_tracking(self):
-        world = scripted_world()
-        result = evaluate_clearmot(perfect_tracks(world), world)
-        assert result.misses == 0
-        assert result.false_positives == 0
-        assert result.id_switches == 0
-        assert result.fragmentations == 0
-        assert result.mota == pytest.approx(1.0)
-
-    def test_no_tracks_all_misses(self):
-        world = scripted_world()
-        result = evaluate_clearmot([], world)
-        assert result.misses == result.n_gt
-        assert result.mota <= 0.0
-
-    def test_false_positives_counted(self):
-        world = scripted_world(n_objects=1)
-        tracks = perfect_tracks(world)
-        ghost = Track(99)
-        for f in range(world.n_frames):
-            ghost.append(f, make_detection(500.0, 50.0, source_id=None))
-        result = evaluate_clearmot(tracks + [ghost], world)
-        assert result.false_positives == world.n_frames
-        assert result.misses == 0
-
-    def test_id_switch_detected(self):
-        world = scripted_world(n_objects=1, n_frames=40)
-        [full] = perfect_tracks(world)
-        first = Track(0)
-        second = Track(1)
-        for obs in full.observations:
-            if obs.frame < 20:
-                first.append(obs.frame, obs.detection)
-            else:
-                second.append(obs.frame, obs.detection)
-        result = evaluate_clearmot([first, second], world)
-        assert result.id_switches == 1
-        assert result.misses == 0
-
-    def test_fragmentation_counted(self):
-        world = scripted_world(n_objects=1, n_frames=40)
-        [full] = perfect_tracks(world)
-        gappy = Track(0)
-        for obs in full.observations:
-            if not 15 <= obs.frame < 25:
-                gappy.append(obs.frame, obs.detection)
-        result = evaluate_clearmot([gappy], world)
-        assert result.fragmentations == 1
-        assert result.misses == 10
 
 
 class TestIdentityMetrics:

@@ -16,7 +16,6 @@ from repro.experiments.bench_summary import (
     BenchSummary,
     compare_summaries,
 )
-from repro.io.results import merge_result_to_dict
 from repro.parallel import ShardPlanner, window_seeds
 from repro.reid.cost import CostModel
 from repro.telemetry.metrics import MetricsRegistry
@@ -258,15 +257,3 @@ class TestMergeResultExtraWidening:
         )
         assert result.extra["label"] == "spatial-prior"
 
-    def test_serializes_through_io_layer(self):
-        result = MergeResult(
-            method="BL",
-            candidates=[],
-            scores={},
-            n_pairs=0,
-            k=0.1,
-            simulated_seconds=0.0,
-            extra={"fallback": True, "label": "x"},
-        )
-        payload = merge_result_to_dict(result)
-        assert payload["extra"] == {"fallback": True, "label": "x"}

@@ -1,6 +1,6 @@
 """Differential tests: the decision ledger is bit-transparent.
 
-The provenance layer's contract (DESIGN.md §14) mirrors telemetry's:
+The provenance layer's contract (DESIGN.md §11) mirrors telemetry's:
 attaching a :class:`~repro.provenance.DecisionLedger` never changes a
 single merged bit — candidates, scores, iterations, the simulated
 clock — across seeds × fault profiles × worker counts × batch sizes
@@ -387,7 +387,7 @@ class TestStreamingLedger:
         ledger = DecisionLedger()
         _service(store, ledger=ledger).run(source, stop_after_windows=2)
         payload = store.load(["stream", "stream"])
-        assert payload["version"] == STREAM_CHECKPOINT_VERSION == 3
+        assert payload["version"] == STREAM_CHECKPOINT_VERSION == 4
         header = payload["ledger"]
         assert header == {
             "max_events": ledger.max_events,

@@ -161,7 +161,7 @@ class TestFeatureCache:
 
 
 class TestScalarIdentities:
-    """The scalar rewrites of DESIGN.md §13.5 equal numpy bit for bit."""
+    """The scalar rewrites of DESIGN.md §9.3 equal numpy bit for bit."""
 
     SPECIAL = [
         0.0, 5e-324, 0.25, 1.0, 1.5, 2.0, 2.0000000000000004, 3.9,

@@ -1,9 +1,10 @@
 """Meta-tests: the documentation's claims about the repository hold.
 
 These guard against docs drifting from code: every bench DESIGN.md's
-experiment index references must exist, every README example must exist
-and be runnable-looking, and the public API exports everything __all__
-promises.
+experiment index references must exist, its module map must name every
+subpackage and the constants it quotes must match the code, every README
+example must exist and be runnable-looking, and the public API exports
+everything __all__ promises.
 """
 
 import re
@@ -12,6 +13,16 @@ from pathlib import Path
 import pytest
 
 REPO = Path(__file__).resolve().parent.parent
+
+#: Constants DESIGN.md quotes as ``module.NAME = value`` (module relative
+#: to ``repro``); each quote must match the code.
+QUOTED_CONSTANTS = {
+    "core.tmerge.CHECKPOINT_VERSION",
+    "streaming.service.CHECKPOINT_VERSION",
+    "core.thompson.GROUP_MIN_LIVE",
+    "core.thompson.HEAVY_SHAPE",
+    "resilience.checkpoint.JOURNAL_COMPACT_FLOOR",
+}
 
 
 class TestDesignDocument:
@@ -25,6 +36,27 @@ class TestDesignDocument:
     def test_paper_match_confirmed(self):
         text = (REPO / "DESIGN.md").read_text()
         assert "matches the target paper" in text
+
+    def test_module_map_names_every_subpackage(self):
+        text = (REPO / "DESIGN.md").read_text()
+        section = text.split("## 3. Module map", 1)[1].split("\n## ", 1)[0]
+        mapped = set(re.findall(r"^  (\w+)/", section, re.MULTILINE))
+        subpackages = {
+            init.parent.name
+            for init in (REPO / "src" / "repro").glob("*/__init__.py")
+        }
+        assert mapped == subpackages
+
+    def test_quoted_constants_match_the_code(self):
+        import importlib
+
+        text = (REPO / "DESIGN.md").read_text()
+        quoted = re.findall(r"\b((?:[a-z_]+\.)+[A-Z][A-Z_]*) = (\d+)\b", text)
+        assert {name for name, _ in quoted} >= QUOTED_CONSTANTS
+        for name, value in quoted:
+            module, attr = name.rsplit(".", 1)
+            actual = getattr(importlib.import_module(f"repro.{module}"), attr)
+            assert actual == int(value), f"DESIGN.md quotes {name} = {value}"
 
 
 class TestReadme:

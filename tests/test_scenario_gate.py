@@ -11,7 +11,6 @@ import pytest
 from repro.experiments.__main__ import main
 from repro.experiments.scenarios import (
     gate_matrix,
-    gate_matrix_files,
     load_matrix,
 )
 
@@ -21,6 +20,10 @@ BASELINE_PATH = (
     / "results"
     / "scenario_matrix.json"
 )
+
+
+def _gate_files(current_path, baseline_path) -> list[str]:
+    return gate_matrix(load_matrix(current_path), load_matrix(baseline_path))
 
 
 def _document(**overrides) -> dict:
@@ -108,7 +111,7 @@ class TestGateAgainstCommittedBaseline:
     """The acceptance tamper test, against the real committed matrix."""
 
     def test_committed_baseline_gates_itself(self):
-        assert gate_matrix_files(BASELINE_PATH, BASELINE_PATH) == []
+        assert _gate_files(BASELINE_PATH, BASELINE_PATH) == []
 
     def _tampered(
         self, tmp_path, factor, metric, name="mot17-clear"
@@ -121,26 +124,26 @@ class TestGateAgainstCommittedBaseline:
 
     def test_ten_percent_recall_drop_in_one_scenario_fails(self, tmp_path):
         tampered = self._tampered(tmp_path, 0.90, "recall")
-        failures = gate_matrix_files(tampered, BASELINE_PATH)
+        failures = _gate_files(tampered, BASELINE_PATH)
         assert len(failures) == 1
         assert "mot17-clear: recall regressed" in failures[0]
 
     def test_ten_percent_budget_growth_in_one_scenario_fails(self, tmp_path):
         tampered = self._tampered(tmp_path, 1.10, "reid_budget")
-        failures = gate_matrix_files(tampered, BASELINE_PATH)
+        failures = _gate_files(tampered, BASELINE_PATH)
         assert len(failures) == 1
         assert "mot17-clear: reid_budget regressed" in failures[0]
 
     def test_three_percent_drift_passes(self, tmp_path):
         tampered = self._tampered(tmp_path, 0.97, "recall")
-        assert gate_matrix_files(tampered, BASELINE_PATH) == []
+        assert _gate_files(tampered, BASELINE_PATH) == []
 
     def test_scenario_id_drift_fails(self, tmp_path):
         document = json.loads(BASELINE_PATH.read_text())
         document["scenarios"]["mot17-clear"]["scenario_id"] = "deadbeef0000"
         path = tmp_path / "drifted_matrix.json"
         path.write_text(json.dumps(document))
-        failures = gate_matrix_files(path, BASELINE_PATH)
+        failures = _gate_files(path, BASELINE_PATH)
         assert len(failures) == 1
         assert "definition drift" in failures[0]
 

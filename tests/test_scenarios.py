@@ -36,7 +36,6 @@ from repro.scenarios import (
     derive_seeds,
     fault_parts,
     scenario_by_name,
-    scenario_names,
     smoke_variant,
 )
 
@@ -53,7 +52,7 @@ class TestMatrix:
         assert len(SCENARIO_MATRIX) >= 20
 
     def test_names_are_unique(self):
-        names = scenario_names()
+        names = [spec.name for spec in SCENARIO_MATRIX]
         assert len(names) == len(set(names))
 
     def test_ids_are_injective_over_the_matrix(self):
@@ -75,15 +74,15 @@ class TestMatrix:
         assert presets == {"mot17", "kitti", "pathtrack"}
 
     def test_scenario_by_name_round_trips(self):
-        for name in scenario_names():
-            assert scenario_by_name(name).name == name
+        for spec in SCENARIO_MATRIX:
+            assert scenario_by_name(spec.name) is spec
 
     def test_scenario_by_name_rejects_unknown_names(self):
         with pytest.raises(KeyError, match="mot17-clear"):
             scenario_by_name("no-such-scenario")
 
     def test_smoke_subset_is_part_of_the_matrix(self):
-        assert set(SMOKE_SUBSET) <= set(scenario_names())
+        assert set(SMOKE_SUBSET) <= {spec.name for spec in SCENARIO_MATRIX}
 
     def test_smoke_variant_caps_frames_and_moves_the_id(self):
         spec = scenario_by_name("mot17-clear")

@@ -11,9 +11,9 @@ its journal included), and worker-count changes across the crash.  Runs
 inside CI's chaos matrix.
 """
 
-import os
-
 import pytest
+
+from helpers import env_batch_size
 
 from repro.core.tmerge import TMerge
 from repro.faults import fault_profile
@@ -38,16 +38,18 @@ def _source(world, profile):
     )
 
 
+def _merger(batch_size):
+    return TMerge(k=0.1, tau_max=100, batch_size=batch_size, seed=3)
+
+
 def _service(
-    store, *, seed=1, profile=None, workers=1, telemetry=None, ledger=None
+    store, *, seed=1, profile=None, workers=1, telemetry=None, ledger=None,
+    window_length=100, merger=None,
 ):
-    # CI chaos-matrix seam: REPRO_BATCH_SIZE re-runs every restart test
-    # at a forced batch size (1 = scalar path, 8 = batched).
-    env_batch = os.environ.get("REPRO_BATCH_SIZE")
     return StreamingIngestionService(
         TracktorTracker(),
-        TMerge(k=0.1, tau_max=100, batch_size=10, seed=3),
-        window_length=100,
+        merger or _merger(env_batch_size(10)),
+        window_length=window_length,
         allowed_lateness=4,
         max_open_windows=8,
         reid_seed=seed,
@@ -55,7 +57,6 @@ def _service(
         parallel_backend="thread",
         fault_profile=profile,
         store=store,
-        batch_size=int(env_batch) if env_batch else None,
         telemetry=telemetry,
         ledger=ledger,
     )
@@ -131,6 +132,32 @@ def test_disk_backed_process_restart(scenario_world, tmp_path):
     stitched = first.fingerprints() + resumed.fingerprints()
     assert stitched == reference.fingerprints()
     assert _final_digest(resumed) == _final_digest(reference)
+
+
+@pytest.mark.parametrize(
+    "changed, written, running",
+    (
+        (dict(window_length=60), "window_length=100", "window_length=60"),
+        (dict(merger=_merger(None)), "batch=8", "batch=None"),
+    ),
+    ids=("window_length", "batch"),
+)
+def test_resume_refuses_another_configuration(
+    scenario_world, tmp_path, changed, written, running
+):
+    """A snapshot resumes only under the window length and merger batch
+    it was written with; anything else would emit shifted windows or
+    diverge from the interrupted run."""
+    source = _source(scenario_world, None)
+    ckpt_dir = str(tmp_path / "ckpts")
+    _service(CheckpointStore(path=ckpt_dir), merger=_merger(8)).run(
+        source, stop_after_windows=2
+    )
+    with pytest.raises(ValueError) as excinfo:
+        _service(CheckpointStore(path=ckpt_dir), **changed).run(source)
+    message = str(excinfo.value)
+    assert written in message
+    assert running in message
 
 
 def test_disk_backed_restart_with_ledger(scenario_world, tmp_path):

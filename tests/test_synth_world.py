@@ -6,7 +6,6 @@ import pytest
 from helpers import tiny_scene_config, tiny_world
 
 from repro.synth import (
-    make_dataset,
     mot17_like,
     kitti_like,
     pathtrack_like,
@@ -121,12 +120,3 @@ class TestDatasets:
         with pytest.raises(KeyError):
             preset_by_name("imagenet")
 
-    def test_make_dataset_scaled(self):
-        videos = make_dataset("kitti", n_videos=2, video_frames=40, seed=5)
-        assert len(videos) == 2
-        assert all(v.n_frames == 40 for v in videos)
-        # Different seeds => different worlds.
-        assert len(videos[0].objects) != len(videos[1].objects) or any(
-            [s.object_id for s in fa] != [s.object_id for s in fb]
-            for fa, fb in zip(videos[0].frames, videos[1].frames)
-        )

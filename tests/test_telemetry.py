@@ -28,7 +28,6 @@ from repro.telemetry.openmetrics import (
 )
 from repro.telemetry.tracing import (
     Span,
-    load_spans_jsonl,
     spans_from_jsonl,
 )
 from repro.track import TracktorTracker
@@ -167,7 +166,7 @@ class TestTracing:
                 cost.charge_extract()
         path = tmp_path / "trace.jsonl"
         assert tracer.export_jsonl(str(path)) == 2
-        spans = load_spans_jsonl(str(path))
+        spans = spans_from_jsonl(path.read_text())
         assert [s.name for s in spans] == ["a", "b"]  # id order
         assert spans[1].parent_id == spans[0].span_id
 

@@ -1,4 +1,4 @@
-"""Exactness of the grouped Thompson draw (DESIGN.md §13.6).
+"""Exactness of the grouped Thompson draw (DESIGN.md §6.2).
 
 :class:`~repro.core.thompson.PosteriorClassIndex` draws per posterior
 class instead of per arm, so it cannot match the per-arm draw bit for

@@ -1,4 +1,4 @@
-"""Behavioural tests for all six trackers.
+"""Behavioural tests for all five trackers.
 
 Uses scripted detection streams where ground truth is unambiguous: a
 steadily moving object must keep one TID; a long detection gap must split
@@ -13,7 +13,6 @@ from helpers import make_detection
 from repro.detect import Detection
 from repro.geometry import BBox
 from repro.track import (
-    CenterTrackTracker,
     DeepSortTracker,
     IoUTracker,
     SortTracker,
@@ -28,7 +27,6 @@ ALL_TRACKERS = [
     DeepSortTracker,
     TracktorTracker,
     UmaTracker,
-    CenterTrackTracker,
 ]
 
 
@@ -114,11 +112,10 @@ class TestAllTrackers:
 
 class TestMemoryDifferences:
     def test_short_gap_bridged_by_long_memory_only(self):
-        """A 6-frame gap kills IoU/CenterTrack tracks but Tracktor
+        """A 6-frame gap kills IoU tracks but Tracktor
         (regression with patience) and DeepSORT-with-appearance bridge it."""
         stream = moving_object_stream(60, gap=(30, 36), speed=2.0)
         assert len(IoUTracker().run(stream)) == 2
-        assert len(CenterTrackTracker().run(stream)) == 2
         assert len(TracktorTracker().run(stream)) == 1
 
         rng = np.random.default_rng(0)
