@@ -3,44 +3,18 @@
 Paper shape: removing BetaInit costs the most (the curve sits lower-left);
 removing ULB costs a smaller but visible amount.
 
-Setup note: with the paper's exact range-1 Hoeffding radius, ULB's pruning
-conditions never trigger under our distance statistics (documented in
-DESIGN.md/EXPERIMENTS.md), so this bench runs ULB with the variance-aware
-radius (``ulb_scale=0.25``) on KITTI-like windows (~450 pairs), where the
-pruning mechanism is observable.
+Setup note: the variants, including ULB's variance-aware radius, are
+:func:`repro.experiments.figures.fig8_ablation`'s; this bench runs them on
+KITTI-like windows (~450 pairs), where the pruning mechanism is
+observable.
 """
 
 from conftest import publish
 
-from repro.core.tmerge import TMerge
+from repro.experiments.figures import fig8_ablation
 from repro.experiments.reporting import format_table
-from repro.experiments.sweeps import rec_fps_sweep
 
 TAUS = (1000, 2000, 4000, 8000)
-ULB_SCALE = 0.25
-
-
-def _sweeps(videos):
-    variants = {
-        "TMerge": dict(ulb_scale=ULB_SCALE, ulb_interval=10),
-        "TMerge w/o BetaInit": dict(
-            thr_s=None, ulb_scale=ULB_SCALE, ulb_interval=10
-        ),
-        "TMerge w/o ULB": dict(use_ulb=False),
-    }
-    results = {}
-    for name, overrides in variants.items():
-        factories = [
-            (
-                tau,
-                lambda tau=tau, overrides=overrides: TMerge(
-                    tau_max=tau, batch_size=10, seed=3, **overrides
-                ),
-            )
-            for tau in TAUS
-        ]
-        results[name] = rec_fps_sweep(factories, videos)
-    return results
 
 
 def _curve_height(points):
@@ -50,7 +24,9 @@ def _curve_height(points):
 def test_fig8_component_ablation(benchmark, datasets):
     videos = datasets["kitti"]
     results = benchmark.pedantic(
-        lambda: _sweeps(videos), rounds=1, iterations=1
+        lambda: fig8_ablation(videos, taus=TAUS, batch_size=10),
+        rounds=1,
+        iterations=1,
     )
 
     rows = []

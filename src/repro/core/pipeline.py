@@ -13,7 +13,6 @@ from typing import Protocol
 
 import numpy as np
 
-from repro import contracts
 from repro.core.merge import merge_tracks
 from repro.core.pairs import TrackPair, build_track_pairs
 from repro.core.results import MergeResult, top_k_count
@@ -32,7 +31,7 @@ from repro.resilience import (
     retry_call,
 )
 from repro.synth.world import VideoGroundTruth
-from repro.telemetry import MetricsRegistry, Telemetry
+from repro.telemetry import Telemetry
 from repro.track.base import Track, Tracker
 
 #: Prior means mirroring BetaInit (see :mod:`repro.core.tmerge`): the
@@ -114,12 +113,11 @@ def build_window_runtime(
 ]:
     """Build the clock, scorer and crash seam that merge windows run on.
 
-    The one place a run's ReID runtime is assembled — the serial
-    pipeline (one runtime for all windows), every window of the
-    window-sharded engine and the streaming service, and the serial
-    :func:`~repro.experiments.sweeps.evaluate_merger` loop (one per
-    video).  Every part records into ``telemetry``: the cost model, the
-    fault injectors, the scorer and its circuit breaker, and the mergers
+    The one place a run's ReID runtime is assembled — once per video in
+    :func:`repro.parallel.run_windows`'s shared-runtime regime, once per
+    window in its window-local regime and in the streaming service.
+    Every part records into ``telemetry``: the cost model, the fault
+    injectors, the scorer and its circuit breaker, and the mergers
     that run on the scorer.
 
     Args:
@@ -331,7 +329,8 @@ class IngestionPipeline:
             and the per-window crash seam (and resilience defaults on).
         resilience: retry/breaker/window-retry tuning; defaults to
             :class:`~repro.resilience.ResilientReidScorer` defaults when
-            a fault profile is set, stays off otherwise.
+            a fault profile is set, stays off otherwise
+            (:func:`repro.parallel.executor.effective_resilience`).
         telemetry: optional injected :class:`~repro.telemetry.Telemetry`.
             When set, every component of the run records into it
             (ReID-cost counters, cache hits, bandit draws, fault and
@@ -339,18 +338,16 @@ class IngestionPipeline:
             simulated clock, and :attr:`IngestionResult.window_metrics`
             carries per-window counter deltas.  Telemetry is pure
             observation — results are bit-identical with it on or off.
-        workers: ``None`` (default) keeps the legacy strictly-serial
-            path, bit-for-bit.  Any integer ≥ 1 switches to the
-            window-sharded engine (:mod:`repro.parallel`), whose
-            *window-local* determinism regime makes results a pure
-            function of ``(seed, window index)``: ``workers=1`` runs
-            the per-window tasks inline through the pre-existing
-            :func:`run_resilient_window` code path, and every higher
-            worker count reproduces that run bit-identically (enforced
-            by ``tests/test_parallel_equivalence.py``).  The engine
-            regime is *not* bit-identical to ``workers=None`` because
-            the legacy path threads one ReID RNG stream, feature cache,
-            clock and breaker through all windows — see DESIGN.md §9.
+        workers: the regime :func:`repro.parallel.run_windows` runs the
+            windows in.  ``None`` (default) is the shared-runtime regime:
+            one ReID RNG stream, feature cache, clock and breaker threaded
+            through the windows in order.  Any integer ≥ 1 is the
+            window-local regime, where results are a pure function of
+            ``(seed, window index)``: ``workers=1`` runs the windows
+            inline, and every higher worker count reproduces that run
+            bit-identically (enforced by
+            ``tests/test_parallel_equivalence.py``).  The two regimes
+            are *not* bit-identical to each other — see DESIGN.md §8.
         parallel_backend: pool flavour for ``workers`` ≥ 2 —
             ``"process"`` (default, real CPU parallelism) or
             ``"thread"`` (shared memory, GIL-bound).
@@ -359,9 +356,9 @@ class IngestionPipeline:
             rides on the run's Telemetry and the merger records one
             decision event per TMerge iteration, ULB pass, degradation
             and fault intervention, stamped with the owning window index
-            (serial path: the shared ledger follows the window loop;
-            ``workers`` path: per-window worker ledgers are absorbed in
-            window-index order).  Pure observation — results are
+            (shared-runtime regime: the shared ledger follows the window
+            loop; window-local regime: per-window ledgers are absorbed
+            in window-index order).  Pure observation — results are
             bit-identical with it on or off
             (``tests/test_provenance_equivalence.py``).
     """
@@ -381,14 +378,6 @@ class IngestionPipeline:
     workers: int | None = None
     parallel_backend: str = "process"
     ledger: DecisionLedger | None = None
-
-    def _resilience(self) -> ResilienceConfig | None:
-        """The effective resilience config (auto-on under a fault profile)."""
-        if self.resilience is not None:
-            return self.resilience
-        if self.fault_profile is not None:
-            return ResilienceConfig()
-        return None
 
     def run(self, world: VideoGroundTruth) -> IngestionResult:
         """Ingest one video end to end."""
@@ -412,16 +401,14 @@ class IngestionPipeline:
         """Ingest starting from precomputed tracks (lets experiments share
         one tracker run across many merger configurations).
 
-        Both paths build windows and pair sets the same way; the
-        ``workers`` path then fans the per-window merge work out through
-        :func:`repro.parallel.run_windows` and reassembles it in index
-        order (see the ``workers`` attribute for the determinism regime).
+        Windows and pair sets are built here; the merge work runs through
+        :func:`repro.parallel.run_windows` in the regime ``workers``
+        picks.
         """
         # Imported lazily: repro.parallel imports this module.
         from repro.parallel import run_windows
 
         telemetry = Telemetry.for_run(self.telemetry, self.ledger)
-        resilience = self._resilience()
         windows = partition_windows(
             world.n_frames, self.window_length, l_max=self.l_max
         )
@@ -432,83 +419,34 @@ class IngestionPipeline:
             )
             for c in range(len(windows))
         ]
-        ingest = dict(
+        engine = (
+            {}
+            if self.workers is None
+            else dict(workers=self.workers, backend=self.parallel_backend)
+        )
+        with telemetry.span(
+            "ingest",
             method=self.merger.name,
             n_windows=len(windows),
             n_tracks=len(tracks),
-        )
-        if self.workers is not None:
-            with telemetry.span(
-                "ingest",
-                **ingest,
-                workers=self.workers,
+            **engine,
+        ):
+            run = run_windows(
+                world=world,
+                window_pairs=window_pairs,
+                merger=self.merger,
+                cost_params=self.cost_params,
+                reid_seed=self.reid_seed,
+                fault_profile=self.fault_profile,
+                resilience=self.resilience,
+                n_workers=self.workers,
                 backend=self.parallel_backend,
-            ):
-                run = run_windows(
-                    world=world,
-                    window_pairs=window_pairs,
-                    merger=self.merger,
-                    cost_params=self.cost_params,
-                    reid_seed=self.reid_seed,
-                    fault_profile=self.fault_profile,
-                    resilience=resilience,
-                    n_workers=self.workers,
-                    backend=self.parallel_backend,
-                    telemetry=self.telemetry,
-                    ledger=self.ledger,
-                )
-            telemetry.bind_clock(run.cost)
-            cost, window_results = run.cost, run.window_results
-            resilience_stats = run.resilience_stats
-            window_metrics = run.window_metrics
-        else:
-            cost, scorer, crasher = build_window_runtime(
-                world,
-                self.reid_seed,
-                self.cost_params,
-                self.fault_profile,
-                resilience,
-                telemetry,
+                telemetry=self.telemetry,
+                ledger=self.ledger,
             )
-            window_results: list[MergeResult] = []
-            window_metrics: list[dict[str, float]] = []
-            with telemetry.span("ingest", **ingest):
-                for c, pairs in enumerate(window_pairs):
-                    before = telemetry.metrics.counters_snapshot()
-                    telemetry.begin_window(c)
-                    with telemetry.span(
-                        "window", window_id=c, n_pairs=len(pairs)
-                    ):
-                        if pairs:
-                            result = run_resilient_window(
-                                self.merger, c, pairs, scorer, cost,
-                                resilience, crasher,
-                            )
-                            if contracts.ENABLED:
-                                contracts.check_top_k_budget(
-                                    len(result.candidates),
-                                    len(pairs),
-                                    where="IngestionPipeline",
-                                )
-                        else:
-                            result = empty_merge_result(self.merger)
-                        window_results.append(result)
-                    telemetry.observe(
-                        "window.merge_ms", result.simulated_seconds * 1000.0
-                    )
-                    if self.telemetry is not None:
-                        window_metrics.append(
-                            MetricsRegistry.delta(
-                                telemetry.metrics.counters_snapshot(), before
-                            )
-                        )
-            resilience_stats = (
-                scorer.stats()
-                if isinstance(scorer, ResilientReidScorer)
-                else {}
-            )
+        telemetry.bind_clock(run.cost)
 
-        selected = self._select_keys(window_results)
+        selected = self._select_keys(run.window_results)
         merged, id_map = merge_tracks(tracks, selected)
         return IngestionResult(
             world=world,
@@ -516,12 +454,12 @@ class IngestionPipeline:
             tracks=tracks,
             windows=windows,
             window_pairs=window_pairs,
-            window_results=window_results,
+            window_results=run.window_results,
             merged_tracks=merged,
             id_map=id_map,
-            cost=cost,
-            resilience_stats=resilience_stats,
-            window_metrics=window_metrics,
+            cost=run.cost,
+            resilience_stats=run.resilience_stats,
+            window_metrics=run.window_metrics,
         )
 
     def _select_keys(self, window_results: list[MergeResult]) -> list:

@@ -50,16 +50,12 @@ _SCALES = {
 }
 
 
+def _dataset(preset: str, n_videos: int):
+    return prepare_dataset(preset, n_videos, seed=0, **_SCALES[preset])
+
+
 def _datasets(n_videos: int):
-    return {
-        name: prepare_dataset(name, n_videos, seed=0, **scale)
-        for name, scale in _SCALES.items()
-    }
-
-
-def _mot17(n_videos: int):
-    return prepare_dataset(n_videos=n_videos, preset="mot17", seed=0,
-                           n_frames=700)
+    return {name: _dataset(name, n_videos) for name in _SCALES}
 
 
 # ----------------------------------------------------------------------
@@ -147,21 +143,21 @@ FIGURES = {
         plot="Figure 5",
     ),
     "fig6": Figure(
-        lambda args: figures.fig6_batched(_mot17(args.videos)),
+        lambda args: figures.fig6_batched(_dataset("mot17", args.videos)),
         ("method", "param", "REC", "FPS"),
         "Figure 6 — batched",
         curves=True,
         plot="Figure 6 — batched (MOT-17-like)",
     ),
     "fig7": Figure(
-        lambda args: figures.fig7_tau_sweep(_mot17(args.videos)),
+        lambda args: figures.fig7_tau_sweep(_dataset("mot17", args.videos)),
         ("tau_max", "seconds", "REC"),
         "Figure 7 — TMerge-B vs tau_max",
     ),
     "fig8": Figure(
-        lambda args: figures.fig8_ablation(_mot17(args.videos)),
+        lambda args: figures.fig8_ablation(_dataset("kitti", args.videos)),
         ("variant", "tau_max", "REC", "FPS"),
-        "Figure 8 — ablation",
+        "Figure 8 — ablation (KITTI-like)",
         curves=True,
     ),
     "fig9": Figure(
@@ -172,7 +168,7 @@ FIGURES = {
         "Figure 9 — window length",
     ),
     "fig10": Figure(
-        lambda args: figures.fig10_thr_s(_mot17(args.videos)),
+        lambda args: figures.fig10_thr_s(_dataset("mot17", args.videos)),
         ("thr_S", "tau_max", "REC", "FPS"),
         "Figure 10 — thr_S",
         curves=True,
@@ -650,7 +646,7 @@ def run_faults(args: argparse.Namespace) -> int:
 
     rows = fault_profile_sweep(
         figures.default_quality_merger,
-        _mot17(args.videos),
+        _dataset("mot17", args.videos),
         profiles=list(args.profiles),
         fault_seed=args.fault_seed,
     )
@@ -704,8 +700,9 @@ _VIDEO_RUN = _options(
 )
 _WORKERS = _options(
     _opt("--workers", type=int, default=None,
-         help="window-sharded engine worker count (default: serial "
-         "path; 4 for the parallel report, 1 for the streaming service)"),
+         help="window-local regime worker count (default: the "
+         "shared-runtime regime; 4 for the parallel report, 1 for the "
+         "streaming service)"),
     _opt("--parallel-backend", choices=["process", "thread"],
          default="process",
          help="pool backend for --workers (default process)"),

@@ -5,12 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.core.pipeline import (
-    Merger,
-    build_window_runtime,
-    run_resilient_window,
-)
-from repro.core.results import MergeResult
+from repro.core.pipeline import Merger
 from repro.experiments.prep import PreparedVideo
 from repro.faults.profiles import FaultProfile
 from repro.metrics.recall import window_recall
@@ -90,18 +85,16 @@ def evaluate_merger(
             results are bit-identical with it on or off
             (``benchmarks/test_ledger_overhead.py`` measures the
             wall-clock price and asserts the zero simulated-clock price).
-        workers: ``None`` (default) keeps the serial per-video loop;
-            an integer routes every video through the window-sharded
-            engine (:func:`repro.parallel.run_windows`) with that many
-            workers.  Engine results are a pure function of the seeds
-            and window indices, so any worker count yields the same
-            :class:`MethodPoint` bit-for-bit.
+        workers: the regime :func:`repro.parallel.run_windows` runs
+            each video in.  ``None`` (default) is the shared-runtime
+            regime (one runtime per video); an integer is the
+            window-local regime with that many workers, whose results
+            are a pure function of the seeds and window indices, so any
+            worker count yields the same :class:`MethodPoint`
+            bit-for-bit.
         parallel_backend: ``"process"`` or ``"thread"`` pool for the
-            engine path (ignored when ``workers`` is ``None``).
+            window-local regime (ignored when ``workers`` is ``None``).
     """
-    if resilience is None and fault_profile is not None:
-        resilience = ResilienceConfig()
-    run_telemetry = Telemetry.for_run(telemetry, ledger)
     recs: list[float] = []
     total_seconds = 0.0
     total_frames = 0
@@ -112,44 +105,22 @@ def evaluate_merger(
         video.reset_sampling()
         merger = factory()
         method = merger.name
-        if workers is None:
-            cost, scorer, crasher = build_window_runtime(
-                video.world,
-                reid_seed,
-                cost_params,
-                fault_profile,
-                resilience,
-                run_telemetry,
-            )
-            results: list[MergeResult | None] = []
-            for index, pairs in enumerate(video.window_pairs):
-                if not pairs:
-                    results.append(None)
-                    continue
-                run_telemetry.begin_window(index)
-                results.append(
-                    run_resilient_window(
-                        merger, index, pairs, scorer, cost, resilience,
-                        crasher,
-                    )
-                )
-        else:
-            run = run_windows(
-                world=video.world,
-                window_pairs=video.window_pairs,
-                merger=merger,
-                cost_params=cost_params,
-                reid_seed=reid_seed,
-                fault_profile=fault_profile,
-                resilience=resilience,
-                n_workers=workers,
-                backend=parallel_backend,
-                telemetry=telemetry,
-                ledger=ledger,
-            )
-            cost, results = run.cost, run.window_results
+        run = run_windows(
+            world=video.world,
+            window_pairs=video.window_pairs,
+            merger=merger,
+            cost_params=cost_params,
+            reid_seed=reid_seed,
+            fault_profile=fault_profile,
+            resilience=resilience,
+            n_workers=workers,
+            backend=parallel_backend,
+            telemetry=telemetry,
+            ledger=ledger,
+        )
+        cost = run.cost
         for pairs, result, gt_keys in zip(
-            video.window_pairs, results, video.window_gt
+            video.window_pairs, run.window_results, video.window_gt
         ):
             if not pairs:
                 continue

@@ -108,31 +108,6 @@ class FaultProfile:
         """This profile re-seeded (a distinct, equally reproducible run)."""
         return replace(self, seed=seed)
 
-    def window_seam_seeds(
-        self, n_windows: int
-    ) -> list[
-        tuple[
-            np.random.SeedSequence,
-            np.random.SeedSequence,
-            np.random.SeedSequence,
-        ]
-    ]:
-        """Per-window ``(call, corrupt, crash)`` seed substreams.
-
-        Window-local execution (:mod:`repro.parallel`) gives every
-        window an independent child of each seam's root sequence, so a
-        window's fault schedule is a pure function of
-        ``(profile seed, window index)`` — independent of worker count
-        and scheduling order.  Children come from the same per-seam
-        roots :meth:`_rng` uses, so adding a seam never perturbs the
-        others.
-        """
-        roots = np.random.SeedSequence(self.seed).spawn(4)
-        call = roots[_STREAM_CALL].spawn(n_windows)
-        corrupt = roots[_STREAM_CORRUPT].spawn(n_windows)
-        crash = roots[_STREAM_CRASH].spawn(n_windows)
-        return list(zip(call, corrupt, crash))
-
     def window_seam_seed(
         self, index: int
     ) -> tuple[
@@ -140,12 +115,15 @@ class FaultProfile:
         np.random.SeedSequence,
         np.random.SeedSequence,
     ]:
-        """One window's ``(call, corrupt, crash)`` substreams, lazily.
+        """One window's ``(call, corrupt, crash)`` seed substreams.
 
-        Identical to ``window_seam_seeds(n)[index]`` for every ``n >
-        index`` (``SeedSequence.spawn`` children are addressable by
-        spawn key), but needs no window count up front — the streaming
-        service derives seeds window by window over an unbounded feed.
+        Window-local execution (:mod:`repro.parallel`) gives every
+        window the ``index``-th child of each seam's root sequence,
+        addressed by spawn key, so a window's fault schedule is a pure
+        function of ``(profile seed, window index)`` — independent of
+        worker count, scheduling order and how many windows the run
+        has.  Children hang off the same per-seam roots :meth:`_rng`
+        uses, so adding a seam never perturbs the others.
         """
         if index < 0:
             raise ValueError("index must be non-negative")

@@ -1,49 +1,46 @@
-"""Window-sharded parallel execution of the per-window merge work.
+"""The window runner: every window of a batch run goes through here.
 
 Public surface:
 
-* :class:`~repro.parallel.planner.ShardPlanner` /
-  :class:`~repro.parallel.planner.ShardPlan` — deterministic window →
-  shard assignment and per-window seed substream derivation.
-* :class:`~repro.parallel.executor.ParallelExecutor` — process/thread
-  pool fan-out with ordered result collection and an inline serial
-  fallback for one worker.
-* :func:`~repro.parallel.executor.run_windows` — the mid-level API the
-  ingestion pipeline and experiment sweeps call.
+* :func:`~repro.parallel.executor.run_windows` — the one window loop
+  behind the ingestion pipeline and the experiment sweeps, in the
+  shared-runtime regime (``n_workers=None``: one ReID runtime threaded
+  through the windows in order) or the window-local regime (integer
+  ``n_workers``: each window a pure function of ``(seed, index)``,
+  dealt round-robin over an inline shard or a process/thread pool).
+* :func:`~repro.parallel.executor.build_shard_tasks` /
+  :class:`~repro.parallel.executor.ParallelExecutor` — the pool task
+  builder and fan-out the streaming service shares.
+* :func:`~repro.parallel.executor.single_window_seeds` — one window's
+  seed substreams, addressed by spawn key.
 
-See DESIGN.md §9 for the determinism argument.
+See DESIGN.md §8 for the determinism argument.
 """
 
 from repro.parallel.executor import (
     BACKENDS,
     ParallelExecutor,
-    ParallelRun,
     ShardTask,
     WindowOutcome,
+    WindowRun,
+    WindowSeeds,
     WindowTask,
+    build_shard_tasks,
     execute_shard,
     run_windows,
-)
-from repro.parallel.planner import (
-    Shard,
-    ShardPlan,
-    ShardPlanner,
-    WindowSeeds,
-    window_seeds,
+    single_window_seeds,
 )
 
 __all__ = [
     "BACKENDS",
     "ParallelExecutor",
-    "ParallelRun",
-    "Shard",
-    "ShardPlan",
-    "ShardPlanner",
     "ShardTask",
     "WindowOutcome",
+    "WindowRun",
     "WindowSeeds",
     "WindowTask",
+    "build_shard_tasks",
     "execute_shard",
     "run_windows",
-    "window_seeds",
+    "single_window_seeds",
 ]

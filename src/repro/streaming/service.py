@@ -60,11 +60,9 @@ from repro.detect import Detection
 from repro.faults.profiles import FaultProfile
 from repro.parallel.executor import (
     ParallelExecutor,
-    ShardTask,
     WindowOutcome,
-    WindowTask,
+    build_shard_tasks,
 )
-from repro.parallel.planner import single_window_seeds
 from repro.provenance import EVENT_DEGRADE, DecisionLedger
 from repro.reid import CostModel, CostParams
 from repro.resilience import CheckpointStore, ResilienceConfig
@@ -303,14 +301,6 @@ class StreamingIngestionService:
         self._bp_active = False
         #: Ledger events with a ``seq`` below this are already journaled.
         self._journaled_seq = 0
-
-    def _effective_resilience(self) -> ResilienceConfig | None:
-        """Auto-enable resilience under a fault profile (pipeline rule)."""
-        if self.resilience is not None:
-            return self.resilience
-        if self.fault_profile is not None:
-            return ResilienceConfig()
-        return None
 
     def _count(self, name: str, amount: float = 1.0) -> None:
         """Bump a lifetime counter (mirrored into telemetry)."""
@@ -698,7 +688,7 @@ class StreamingIngestionService:
     def _merge_batch(self, batch: list[dict]) -> dict[int, WindowOutcome]:
         """Run every non-degraded, non-empty ready window through the
         engine (fanning out when several are ready at once)."""
-        tasks = []
+        shards = []
         for entry in batch:
             index = entry["index"]
             if entry["degraded"]:
@@ -706,33 +696,22 @@ class StreamingIngestionService:
             pairs = build_track_pairs(
                 self._tracks_of(index), self._previous_tracks_of(index)
             )
-            if not pairs:
-                continue
-            tasks.append(
-                ShardTask(
-                    shard_id=index,
-                    world=self._world,
-                    merger=self.merger,
-                    cost_params=self.cost_params,
-                    items=[
-                        WindowTask(
-                            index=index,
-                            pairs=pairs,
-                            seeds=single_window_seeds(
-                                self.reid_seed, index, self.fault_profile
-                            ),
-                        )
-                    ],
-                    fault_profile=self.fault_profile,
-                    resilience=self._effective_resilience(),
-                    with_ledger=self._telemetry.ledger is not None,
-                )
-            )
+            if pairs:
+                shards.append((index, [(index, pairs)]))
+        tasks = build_shard_tasks(
+            shards,
+            world=self._world,
+            merger=self.merger,
+            cost_params=self.cost_params,
+            reid_seed=self.reid_seed,
+            fault_profile=self.fault_profile,
+            resilience=self.resilience,
+            with_ledger=self._telemetry.ledger is not None,
+        )
         if not tasks:
             return {}
         outcomes = ParallelExecutor(
-            min(self.workers, len(tasks)) if self.workers > 1 else 1,
-            self.parallel_backend,
+            self.workers, self.parallel_backend
         ).run(tasks)
         return {outcome.index: outcome for outcome in outcomes}
 

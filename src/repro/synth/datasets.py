@@ -26,8 +26,6 @@ class DatasetPreset:
     Attributes:
         name: preset identifier (``mot17``, ``kitti``, ``pathtrack``).
         config: the scene configuration.
-        n_videos: how many videos the paper-scale version of this dataset
-            contains (our benches typically use fewer for runtime).
         video_frames: default per-video length in frames.
         default_window: default window length ``L`` used in the paper's
             experiments on this dataset.
@@ -35,7 +33,6 @@ class DatasetPreset:
 
     name: str
     config: SceneConfig
-    n_videos: int
     video_frames: int
     default_window: int
 
@@ -62,7 +59,6 @@ def mot17_like() -> DatasetPreset:
     return DatasetPreset(
         name="mot17",
         config=config,
-        n_videos=14,
         video_frames=900,
         default_window=2000,
     )
@@ -93,7 +89,6 @@ def kitti_like() -> DatasetPreset:
     return DatasetPreset(
         name="kitti",
         config=config,
-        n_videos=8,
         video_frames=800,
         default_window=2000,
     )
@@ -122,7 +117,6 @@ def pathtrack_like() -> DatasetPreset:
     return DatasetPreset(
         name="pathtrack",
         config=config,
-        n_videos=9,
         video_frames=3600,
         default_window=2000,
     )

@@ -21,7 +21,6 @@ def tiny_preset():
     return DatasetPreset(
         name="tiny",
         config=tiny_scene_config(max_track_length=100),
-        n_videos=2,
         video_frames=150,
         default_window=200,
     )

@@ -2,7 +2,7 @@
 
 The differential layer (``test_parallel_equivalence.py``) proves the
 end-to-end guarantee; this module pins down each component in isolation:
-shard planning, seed-substream derivation, the shard-cover contract, and
+seed-substream derivation, the shard-cover contract, and
 the delta-merge seams (cost clock, metric counters, trace spans) the
 aggregation stage relies on.
 """
@@ -16,81 +16,55 @@ from repro.experiments.bench_summary import (
     BenchSummary,
     compare_summaries,
 )
-from repro.parallel import ShardPlanner, window_seeds
+from repro.parallel import single_window_seeds
 from repro.reid.cost import CostModel
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracing import Span, Tracer
 
 
-class TestShardPlanner:
-    def test_rejects_bad_worker_count(self):
-        with pytest.raises(ValueError):
-            ShardPlanner(0)
-
-    def test_rejects_duplicate_windows(self):
-        with pytest.raises(ValueError):
-            ShardPlanner(2).plan([0, 1, 1])
-
-    def test_plan_is_deterministic(self):
-        first = ShardPlanner(3).plan([5, 2, 8, 0, 3])
-        second = ShardPlanner(3).plan([3, 0, 8, 2, 5])
-        assert first == second
-
-    def test_plan_partitions_input(self):
-        plan = ShardPlanner(3).plan(range(10))
-        covered = plan.covered_indices()
-        assert sorted(covered) == list(range(10))
-        assert len(covered) == len(set(covered))
-
-    def test_round_robin_assignment(self):
-        plan = ShardPlanner(2).plan([0, 1, 2, 3, 4])
-        assert plan.shards[0].window_indices == (0, 2, 4)
-        assert plan.shards[1].window_indices == (1, 3)
-
-    def test_empty_shards_dropped(self):
-        plan = ShardPlanner(8).plan([0, 1])
-        assert len(plan.shards) == 2
-        assert all(shard.window_indices for shard in plan.shards)
-
-    def test_empty_input(self):
-        plan = ShardPlanner(4).plan([])
-        assert plan.shards == ()
-        assert plan.covered_indices() == []
+def _spawned(seed, n):
+    """The list-spawn derivation ``SeedSequence(seed).spawn(n)`` that
+    :func:`single_window_seeds` must reproduce child for child."""
+    return np.random.SeedSequence(seed).spawn(n)
 
 
 class TestWindowSeeds:
     def test_deterministic(self):
-        first = window_seeds(7, 4)
-        second = window_seeds(7, 4)
-        for a, b in zip(first, second):
-            assert a.model.entropy == b.model.entropy
-            assert a.model.spawn_key == b.model.spawn_key
+        for c in range(4):
+            first = single_window_seeds(7, c)
+            second = single_window_seeds(7, c)
+            assert first.model.entropy == second.model.entropy
+            assert first.model.spawn_key == second.model.spawn_key
 
     def test_windows_independent(self):
-        seeds = window_seeds(7, 4)
         draws = [
-            np.random.default_rng(s.model).random() for s in seeds
+            np.random.default_rng(single_window_seeds(7, c).model).random()
+            for c in range(4)
         ]
         assert len(set(draws)) == len(draws)
 
     def test_prefix_stable(self):
-        """Window c's substream does not depend on the window count."""
-        short = window_seeds(7, 3)
-        long = window_seeds(7, 6)
-        for a, b in zip(short, long):
-            assert a.model.spawn_key == b.model.spawn_key
+        """Window c's substream is child c of the spawned list, whatever
+        the list's length."""
+        for n in (3, 6):
+            for c, child in enumerate(_spawned(7, n)):
+                lazy = single_window_seeds(7, c).model
+                assert lazy.spawn_key == child.spawn_key
+                assert (
+                    lazy.generate_state(4).tolist()
+                    == child.generate_state(4).tolist()
+                )
 
     def test_no_profile_leaves_fault_seams_unset(self):
-        seeds = window_seeds(7, 2)
-        assert all(
-            s.call is None and s.corrupt is None and s.crash is None
-            for s in seeds
-        )
+        for c in range(2):
+            s = single_window_seeds(7, c)
+            assert s.call is None and s.corrupt is None and s.crash is None
 
     def test_profile_fills_fault_seams(self):
         from repro.faults import fault_profile
 
-        seeds = window_seeds(7, 3, fault_profile("flaky-reid", seed=11))
+        profile = fault_profile("flaky-reid", seed=11)
+        seeds = [single_window_seeds(7, c, profile) for c in range(3)]
         assert all(
             s.call is not None and s.corrupt is not None
             and s.crash is not None
@@ -100,8 +74,9 @@ class TestWindowSeeds:
         assert len(crash_keys) == 3
 
     def test_rejects_negative_count(self):
+        """A negative window index has no substream."""
         with pytest.raises(ValueError):
-            window_seeds(7, -1)
+            single_window_seeds(7, -1)
 
 
 class TestShardCoverContract:

@@ -168,18 +168,26 @@ def test_workers_one_builds_no_pool(
 def test_workers_none_keeps_legacy_path(
     make_pipeline, chaos_world, tracked, monkeypatch
 ):
-    """``workers=None`` must never reach the sharded engine."""
-    import repro.parallel as parallel_module
+    """``workers=None`` threads one runtime through the whole video; an
+    integer builds a fresh one per non-empty window."""
+    import repro.parallel.executor as executor_module
 
-    def explode(*args, **kwargs):
-        raise AssertionError("workers=None entered the sharded path")
+    built = []
+    original = executor_module.build_window_runtime
 
-    monkeypatch.setattr(parallel_module, "run_windows", explode)
-    detections, tracks = tracked
-    result = make_pipeline(window_length=100).run_on_tracks(
-        chaos_world, detections, tracks
+    def counting(*args, **kwargs):
+        built.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(executor_module, "build_window_runtime", counting)
+    legacy = _run(
+        make_pipeline, chaos_world, tracked, workers=None, seed=1,
     )
-    assert result.window_results
+    assert len(built) == 1
+    built.clear()
+    _run(make_pipeline, chaos_world, tracked, workers=1, seed=1)
+    assert len(built) == sum(1 for pairs in legacy.window_pairs if pairs)
+    assert len(built) > 1
 
 
 def test_sweeps_workers_matches_serial(chaos_world):

@@ -16,7 +16,6 @@ from repro.core import (
 from repro.core.results import top_k_count
 from repro.core.windows import WindowedTracks, partition_windows
 from repro.metrics.recall import window_recall
-from repro.parallel import ShardPlanner
 
 
 def _random_pairs(n_tracks: int, track_len: int, n_sources: int, seed: int):
@@ -177,26 +176,6 @@ def test_top_k_count_monotone(n_pairs, k_low, k_high, extra):
         k_low, k_high = k_high, k_low
     assert top_k_count(n_pairs, k_low) <= top_k_count(n_pairs, k_high)
     assert top_k_count(n_pairs, k_low) <= top_k_count(n_pairs + extra, k_low)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    n_windows=st.integers(0, 60),
-    n_workers=st.integers(1, 12),
-    seed=st.integers(0, 100),
-)
-def test_shard_plan_is_a_partition(n_windows, n_workers, seed):
-    """Every busy window lands in exactly one shard, none invented."""
-    rng = np.random.default_rng(seed)
-    indices = [
-        c for c in range(n_windows) if rng.random() < 0.7
-    ]
-    plan = ShardPlanner(n_workers).plan(indices)
-    covered = plan.covered_indices()
-    assert sorted(covered) == sorted(indices)
-    assert len(covered) == len(set(covered))
-    assert len(plan.shards) <= n_workers
-    assert all(shard.window_indices for shard in plan.shards)
 
 
 @settings(max_examples=10, deadline=None)

@@ -185,3 +185,24 @@ class TestExperimentsDocument:
         for fig in range(3, 14):
             assert f"Figure {fig}" in text, f"Figure {fig} missing"
         assert "Table II" in text
+
+
+class TestE2eTracerTargets:
+    """Every function the end-to-end tracer wraps still exists, or its
+    layer's metrics would silently turn "unattributed"."""
+
+    def test_every_wrap_target_resolves(self):
+        import importlib.util
+
+        spec = importlib.util.spec_from_file_location(
+            "e2e_tracer", REPO / "benchmarks" / "e2e" / "tracer.py"
+        )
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        missing = [
+            f"{module}:{attribute}"
+            for _, module, attribute, _ in tracer.WRAPS
+            if tracer._resolve(module, attribute) is None
+        ]
+        assert tracer.WRAPS
+        assert missing == []

@@ -11,6 +11,7 @@ backpressure policies' deterministic decisions.
 
 import json
 
+import numpy as np
 import pytest
 
 from helpers import tiny_scene_config, tiny_world
@@ -193,31 +194,38 @@ class TestFeedSource:
 
 
 class TestLazyWindowSeeds:
-    def test_single_window_seeds_match_batch_list(self):
-        from repro.parallel.planner import single_window_seeds, window_seeds
+    """The streaming service addresses window seeds by spawn key; they
+    must be the children the list-spawn derivation hands out."""
 
-        batch = window_seeds(reid_seed=7, n_windows=6)
+    def test_single_window_seeds_match_batch_list(self):
+        from repro.parallel import single_window_seeds
+
+        batch = np.random.SeedSequence(7).spawn(6)
         for c in (0, 3, 5):
             lazy = single_window_seeds(7, c)
             assert (
                 lazy.model.generate_state(4).tolist()
-                == batch[c].model.generate_state(4).tolist()
+                == batch[c].generate_state(4).tolist()
             )
 
     def test_fault_seams_match_batch_list(self):
         from repro.faults import fault_profile
-        from repro.parallel.planner import single_window_seeds, window_seeds
+        from repro.parallel import single_window_seeds
 
         profile = fault_profile("flaky-reid", seed=11)
-        batch = window_seeds(5, 4, profile)
+        # Seam roots 0 (call), 1 (corrupt) and 3 (crash) of the
+        # profile's four, each spawned into one child per window.
+        roots = np.random.SeedSequence(profile.seed).spawn(4)
+        batch = {
+            name: roots[stream].spawn(4)
+            for name, stream in (("call", 0), ("corrupt", 1), ("crash", 3))
+        }
         for c in (0, 2, 3):
             lazy = single_window_seeds(5, c, profile)
-            for name in ("call", "corrupt", "crash"):
-                a = getattr(lazy, name)
-                b = getattr(batch[c], name)
+            for name, children in batch.items():
                 assert (
-                    a.generate_state(4).tolist()
-                    == b.generate_state(4).tolist()
+                    getattr(lazy, name).generate_state(4).tolist()
+                    == children[c].generate_state(4).tolist()
                 )
 
 
