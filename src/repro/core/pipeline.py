@@ -9,7 +9,7 @@ together and returns everything the evaluation and query layers need.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
 
@@ -33,6 +33,9 @@ from repro.resilience import (
 from repro.synth.world import VideoGroundTruth
 from repro.telemetry import Telemetry
 from repro.track.base import Track, Tracker
+
+if TYPE_CHECKING:
+    from repro.parallel import ParallelExecutor
 
 #: Prior means mirroring BetaInit (see :mod:`repro.core.tmerge`): the
 #: spatial-fallback ranking is exactly a zero-observation TMerge ranking.
@@ -350,7 +353,11 @@ class IngestionPipeline:
             are *not* bit-identical to each other — see DESIGN.md §8.
         parallel_backend: pool flavour for ``workers`` ≥ 2 —
             ``"process"`` (default, real CPU parallelism) or
-            ``"thread"`` (shared memory, GIL-bound).
+            ``"thread"`` (shared memory, GIL-bound).  The pool is built
+            at the first run that needs it and serves every later run;
+            :meth:`close` (or leaving a ``with`` block) shuts it down
+            and joins the workers, as does dropping the pipeline.  A
+            :func:`dataclasses.replace` copy builds its own.
         ledger: optional injected
             :class:`~repro.provenance.DecisionLedger`.  When set, it
             rides on the run's Telemetry and the merger records one
@@ -378,6 +385,44 @@ class IngestionPipeline:
     workers: int | None = None
     parallel_backend: str = "process"
     ledger: DecisionLedger | None = None
+    _executor: ParallelExecutor | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def close(self) -> None:
+        """Shut the worker pool down and join its workers (idempotent)."""
+        if self._executor is not None:
+            self._executor.close()
+            self._executor = None
+
+    def __enter__(self) -> "IngestionPipeline":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def __getstate__(self) -> dict:
+        # A pool belongs to the object that built it: copies and pickles
+        # start without one.
+        return {**self.__dict__, "_executor": None}
+
+    def _pool_executor(self) -> ParallelExecutor | None:
+        """The pipeline's executor when ``workers`` ≥ 2 (built once)."""
+        if self.workers is None or self.workers < 2:
+            return None
+        # Imported lazily: repro.parallel imports this module.
+        from repro.parallel import ParallelExecutor
+
+        executor = self._executor
+        if executor is None or (executor.n_workers, executor.backend) != (
+            self.workers,
+            self.parallel_backend,
+        ):
+            self.close()
+            self._executor = ParallelExecutor(
+                self.workers, self.parallel_backend
+            )
+        return self._executor
 
     def run(self, world: VideoGroundTruth) -> IngestionResult:
         """Ingest one video end to end."""
@@ -443,6 +488,7 @@ class IngestionPipeline:
                 backend=self.parallel_backend,
                 telemetry=self.telemetry,
                 ledger=self.ledger,
+                executor=self._pool_executor(),
             )
         telemetry.bind_clock(run.cost)
 

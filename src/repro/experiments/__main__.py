@@ -283,9 +283,8 @@ def run_telemetry(args: argparse.Namespace) -> int:
     from repro.telemetry import Telemetry
 
     telemetry = Telemetry()
-    result = _pipeline(args, args.workers, telemetry=telemetry).run(
-        _world(args)
-    )
+    with _pipeline(args, args.workers, telemetry=telemetry) as pipeline:
+        result = pipeline.run(_world(args))
 
     rows = []
     for c, metrics in enumerate(result.window_metrics):
@@ -338,10 +337,10 @@ def run_parallel(args: argparse.Namespace) -> int:
     n_workers = args.workers or 4
 
     def measure(workers: int):
-        pipeline = _pipeline(args, workers)
-        start = time.perf_counter()
-        result = pipeline.run(world)
-        return time.perf_counter() - start, result
+        with _pipeline(args, workers) as pipeline:
+            start = time.perf_counter()
+            result = pipeline.run(world)
+            return time.perf_counter() - start, result
 
     def fingerprint(result):
         return (

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable
 
@@ -9,7 +10,7 @@ from repro.core.pipeline import Merger
 from repro.experiments.prep import PreparedVideo
 from repro.faults.profiles import FaultProfile
 from repro.metrics.recall import window_recall
-from repro.parallel import run_windows
+from repro.parallel import ParallelExecutor, run_windows
 from repro.provenance import DecisionLedger
 from repro.reid import CostParams
 from repro.resilience import ResilienceConfig
@@ -94,6 +95,8 @@ def evaluate_merger(
             bit-for-bit.
         parallel_backend: ``"process"`` or ``"thread"`` pool for the
             window-local regime (ignored when ``workers`` is ``None``).
+            One pool serves every video and is closed before the call
+            returns.
     """
     recs: list[float] = []
     total_seconds = 0.0
@@ -101,37 +104,43 @@ def evaluate_merger(
     degraded_windows = 0
     reid_invocations = 0
     method = ""
-    for video in videos:
-        video.reset_sampling()
-        merger = factory()
-        method = merger.name
-        run = run_windows(
-            world=video.world,
-            window_pairs=video.window_pairs,
-            merger=merger,
-            cost_params=cost_params,
-            reid_seed=reid_seed,
-            fault_profile=fault_profile,
-            resilience=resilience,
-            n_workers=workers,
-            backend=parallel_backend,
-            telemetry=telemetry,
-            ledger=ledger,
-        )
-        cost = run.cost
-        for pairs, result, gt_keys in zip(
-            video.window_pairs, run.window_results, video.window_gt
-        ):
-            if not pairs:
-                continue
-            if result.degraded:
-                degraded_windows += 1
-            rec = window_recall(result.candidate_keys, gt_keys)
-            if rec is not None:
-                recs.append(rec)
-        total_seconds += cost.seconds
-        total_frames += video.n_frames
-        reid_invocations += cost.n_extractions + cost.n_batched_extractions
+    with (
+        nullcontext()
+        if workers is None
+        else ParallelExecutor(workers, parallel_backend)
+    ) as executor:
+        for video in videos:
+            video.reset_sampling()
+            merger = factory()
+            method = merger.name
+            run = run_windows(
+                world=video.world,
+                window_pairs=video.window_pairs,
+                merger=merger,
+                cost_params=cost_params,
+                reid_seed=reid_seed,
+                fault_profile=fault_profile,
+                resilience=resilience,
+                n_workers=workers,
+                backend=parallel_backend,
+                telemetry=telemetry,
+                ledger=ledger,
+                executor=executor,
+            )
+            cost = run.cost
+            for pairs, result, gt_keys in zip(
+                video.window_pairs, run.window_results, video.window_gt
+            ):
+                if not pairs:
+                    continue
+                if result.degraded:
+                    degraded_windows += 1
+                rec = window_recall(result.candidate_keys, gt_keys)
+                if rec is not None:
+                    recs.append(rec)
+            total_seconds += cost.seconds
+            total_frames += video.n_frames
+            reid_invocations += cost.n_extractions + cost.n_batched_extractions
 
     avg_rec = sum(recs) / len(recs) if recs else 1.0
     fps = total_frames / total_seconds if total_seconds > 0 else float("inf")

@@ -3,7 +3,7 @@
 :func:`run_windows` turns "world + window pairs + merger" into window
 results for :class:`~repro.core.pipeline.IngestionPipeline` and
 :func:`~repro.experiments.sweeps.evaluate_merger`; the streaming service
-builds its pool tasks with the same :func:`build_shard_tasks`.  Each
+builds its pool tasks with the same :func:`build_window_tasks`.  Each
 window runs through :func:`_merge_window`, which owns the ``window``
 span, the ``window.merge_ms`` histogram and the top-K budget contract.
 There are two determinism regimes:
@@ -30,10 +30,16 @@ Every window runs against its own, freshly built execution state:
 A window's result is therefore a pure function of
 ``(seed, window index)`` — independent of worker count, backend and
 scheduling order — which is what the differential test layer
-(``tests/test_parallel_equivalence.py``) asserts bit-for-bit.  Busy
-windows are dealt round-robin to ``n_workers`` shards; with
-``n_workers=1`` the shard runs inline in-process (no pool), and higher
-worker counts must reproduce that run exactly.
+(``tests/test_parallel_equivalence.py``) asserts bit-for-bit.  Every
+busy window is one :class:`WindowTask`; with ``n_workers=1`` the tasks
+run inline in-process (no pool), and higher worker counts must
+reproduce that run exactly.  On a pool the tasks go out longest first,
+one per call, so a free worker takes the next-longest window.  What
+crosses the seam is slim both ways: a task carries its pairs, seeds and
+the world's config and objects (not its frames), and an outcome carries
+candidate keys, which :meth:`WindowOutcome.bind` points back at the
+caller's own pairs.  A :class:`ParallelExecutor` owns one pool for its
+life, so a pipeline pays for forking workers once, not once per video.
 
 Every window records into its own Telemetry (carrying a fresh decision
 ledger when the run records decisions) and ships it home as one
@@ -51,13 +57,22 @@ argument.
 from __future__ import annotations
 
 import copy
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+import dataclasses
+import os
+import weakref
+from concurrent.futures import (
+    BrokenExecutor,
+    Executor,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+)
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro import contracts
-from repro.core.pairs import TrackPair
+from repro.core.pairs import PairKey, TrackPair
 from repro.core.pipeline import (
     Merger,
     build_window_runtime,
@@ -135,48 +150,39 @@ def single_window_seeds(
 
 @dataclass
 class WindowTask:
-    """One window's work order, picklable for process pools.
+    """One busy window's work order, pickled whole to a pool worker.
+
+    A task carries only what its window reads: the pairs, the seeds and
+    the video's config and objects without its per-frame states, so the
+    pool seam moves windows, not videos.
 
     Attributes:
         index: the window index ``c``.
         pairs: the window's candidate pair set ``P_c`` (non-empty).
         seeds: the window's seed substreams.
+        world: the ground truth the ReID model reads.
+        merger: the merger prototype; the window runs a private deep
+            copy.
+        cost_params: simulated cost constants.
+        fault_profile: optional chaos configuration.
+        resilience: optional resilience tuning.
+        with_ledger: whether the window records a worker-local decision
+            ledger (absorbed home in window-index order).
     """
 
     index: int
     pairs: list[TrackPair]
     seeds: WindowSeeds
-
-
-@dataclass
-class ShardTask:
-    """Everything one shard needs, shipped to its worker once.
-
-    Attributes:
-        shard_id: the shard's id.
-        world: the simulated ground truth backing the ReID model.
-        merger: the merger prototype; each window runs a private deep
-            copy.
-        cost_params: simulated cost constants.
-        items: the shard's window tasks, ascending by index.
-        fault_profile: optional chaos configuration.
-        resilience: optional resilience tuning.
-        with_ledger: whether windows record worker-local decision
-            ledgers (absorbed home in window-index order).
-    """
-
-    shard_id: int
     world: VideoGroundTruth
     merger: Merger
     cost_params: CostParams | None
-    items: list[WindowTask]
     fault_profile: FaultProfile | None = None
     resilience: ResilienceConfig | None = None
     with_ledger: bool = False
 
 
-def build_shard_tasks(
-    shards: list[tuple[int, list[tuple[int, list[TrackPair]]]]],
+def build_window_tasks(
+    windows: list[tuple[int, list[TrackPair]]],
     *,
     world: VideoGroundTruth,
     merger: Merger,
@@ -185,43 +191,55 @@ def build_shard_tasks(
     fault_profile: FaultProfile | None,
     resilience: ResilienceConfig | None,
     with_ledger: bool,
-) -> list[ShardTask]:
-    """One :class:`ShardTask` per ``(shard_id, [(index, pairs), ...])``.
+) -> list[WindowTask]:
+    """One :class:`WindowTask` per ``(index, pairs)``.
 
     Window seeds come from :func:`single_window_seeds` and resilience
-    from :func:`effective_resilience`, so a batch shard and a streaming
-    shard holding the same window run it identically.
+    from :func:`effective_resilience`, so a batch run and the streaming
+    service holding the same window run it identically.
     """
     resilience = effective_resilience(resilience, fault_profile)
+    # SimReIDModel reads only the config and the objects' appearance
+    # latents; frames, occluders and glare are ~90% of a pickled world.
+    world = dataclasses.replace(world, frames=[], occluders=[], glare=[])
     return [
-        ShardTask(
-            shard_id=shard_id,
+        WindowTask(
+            index=index,
+            pairs=pairs,
+            seeds=single_window_seeds(reid_seed, index, fault_profile),
             world=world,
             merger=merger,
             cost_params=cost_params,
-            items=[
-                WindowTask(
-                    index=index,
-                    pairs=pairs,
-                    seeds=single_window_seeds(reid_seed, index, fault_profile),
-                )
-                for index, pairs in windows
-            ],
             fault_profile=fault_profile,
             resilience=resilience,
             with_ledger=with_ledger,
         )
-        for shard_id, windows in shards
+        for index, pairs in windows
     ]
+
+
+def longest_first(tasks: list[WindowTask]) -> list[WindowTask]:
+    """``tasks`` by descending ``|P_c|``, ties by window index.
+
+    Sent in this order, a free worker always takes the longest window
+    left, so no worker is handed a second long window while another idles.
+    """
+    return sorted(tasks, key=lambda task: (-len(task.pairs), task.index))
 
 
 @dataclass
 class WindowOutcome:
     """One window's results plus its observability payload.
 
+    Outcomes cross the pool seam by key: :func:`execute_shard` ships the
+    result with its candidates as :attr:`candidate_keys`, and
+    :meth:`bind` points them back at the caller's own pairs, so no
+    ``Track`` travels home.
+
     Attributes:
         index: the window index.
-        result: the merge result.
+        result: the merge result (no candidates until :meth:`bind`).
+        candidate_keys: the candidates' pair keys, best first.
         cost_state: the window clock's
             :meth:`~repro.reid.cost.CostModel.state_dict`.
         telemetry: the window Telemetry's
@@ -232,9 +250,16 @@ class WindowOutcome:
 
     index: int
     result: MergeResult
+    candidate_keys: list[PairKey]
     cost_state: dict[str, float]
     telemetry: dict
     resilience_stats: dict[str, float] = field(default_factory=dict)
+
+    def bind(self, pairs: list[TrackPair]) -> None:
+        """Set the result's candidates to the members of ``pairs`` (the
+        window's ``P_c``) named by :attr:`candidate_keys`, in order."""
+        by_key = {pair.key: pair for pair in pairs}
+        self.result.candidates = [by_key[key] for key in self.candidate_keys]
 
     def fold_into(
         self,
@@ -291,56 +316,71 @@ def _merge_window(
     return result
 
 
-def _run_window_task(shard: ShardTask, item: WindowTask) -> WindowOutcome:
-    """Build the window-local execution state and run one window."""
+def execute_shard(task: WindowTask) -> WindowOutcome:
+    """Build the window-local execution state and run one window task.
+
+    The pool's unit of work (module-level, so picklable).
+    """
     # A fresh per-window ledger: events are stamped with the window index
     # here and absorbed home in window-index order, so the merged log is
     # worker-count independent (like Tracer.absorb).
     telemetry = Telemetry(
-        ledger=DecisionLedger() if shard.with_ledger else None
+        ledger=DecisionLedger() if task.with_ledger else None
     )
-    telemetry.begin_window(item.index)
-    seeds = item.seeds
+    telemetry.begin_window(task.index)
+    seeds = task.seeds
     cost, scorer, crasher = build_window_runtime(
-        shard.world,
+        task.world,
         seeds.model,
-        shard.cost_params,
-        shard.fault_profile,
-        shard.resilience,
+        task.cost_params,
+        task.fault_profile,
+        task.resilience,
         telemetry,
         call_rng=_rng(seeds.call),
         corruption_rng=_rng(seeds.corrupt),
         crash_rng=_rng(seeds.crash),
     )
     result = _merge_window(
-        copy.deepcopy(shard.merger),
-        item.index,
-        item.pairs,
+        copy.deepcopy(task.merger),
+        task.index,
+        task.pairs,
         scorer,
         cost,
-        shard.resilience,
+        task.resilience,
         crasher,
         telemetry,
     )
     return WindowOutcome(
-        index=item.index,
-        result=result,
+        index=task.index,
+        result=dataclasses.replace(result, candidates=[]),
+        candidate_keys=[pair.key for pair in result.candidates],
         cost_state=cost.state_dict(),
         telemetry=telemetry.export(),
         resilience_stats=_scorer_stats(scorer),
     )
 
 
-def execute_shard(task: ShardTask) -> list[WindowOutcome]:
-    """Run every window of one shard serially (module-level: picklable)."""
-    return [_run_window_task(task, item) for item in task.items]
+def _shutdown_pool(pool: Executor, owner_pid: int) -> None:
+    """Shut ``pool`` down and join its workers.
+
+    Only the process that built the pool may: a forked worker inherits
+    this finalizer along with its parent's memory.
+    """
+    if os.getpid() == owner_pid:
+        pool.shutdown(wait=True)
 
 
 class ParallelExecutor:
-    """Runs shard tasks over a process/thread pool, or inline for one.
+    """Runs window tasks inline, or over one pool it owns for its life.
+
+    The pool is built by the first :meth:`run` that needs one (two or
+    more workers and tasks) and serves every later run until
+    :meth:`close`.  Use the executor as a context manager, or call
+    :meth:`close`; an executor that is collected unclosed shuts its pool
+    down and joins the workers through a finalizer.
 
     Args:
-        n_workers: worker count; ``1`` executes every shard inline in
+        n_workers: worker count; ``1`` executes every task inline in
             the calling process (no pool).
         backend: ``"process"`` (real CPU parallelism; tasks are pickled)
             or ``"thread"`` (shared memory, GIL-bound — useful for
@@ -354,30 +394,61 @@ class ParallelExecutor:
             raise ValueError(f"backend must be one of {BACKENDS}")
         self.n_workers = n_workers
         self.backend = backend
+        self._pool: Executor | None = None
+        self._finalizer: weakref.finalize | None = None
 
-    def _pool(self, n_tasks: int) -> Executor:
-        workers = min(self.n_workers, n_tasks)
-        if self.backend == "process":
-            return ProcessPoolExecutor(max_workers=workers)
-        return ThreadPoolExecutor(max_workers=workers)
+    def _ensure_pool(self) -> Executor:
+        if self._pool is None:
+            kind = (
+                ProcessPoolExecutor
+                if self.backend == "process"
+                else ThreadPoolExecutor
+            )
+            self._pool = kind(max_workers=self.n_workers)
+            self._finalizer = weakref.finalize(
+                self, _shutdown_pool, self._pool, os.getpid()
+            )
+        return self._pool
 
-    def run(self, tasks: list[ShardTask]) -> list[WindowOutcome]:
-        """Execute all shard tasks; outcomes return in window-index order.
+    def close(self) -> None:
+        """Shut the pool down and join its workers (idempotent).
 
-        The ordered-collection stage sorts by window index, so callers
-        see the same sequence whatever the completion order was.
+        A later :meth:`run` builds a new pool.
         """
-        if self.n_workers == 1 or len(tasks) <= 1:
-            outcomes = [
-                outcome for task in tasks for outcome in execute_shard(task)
-            ]
+        if self._finalizer is not None:
+            self._finalizer()
+        self._pool = None
+        self._finalizer = None
+
+    def __enter__(self) -> "ParallelExecutor":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def run(self, tasks: list[WindowTask]) -> list[WindowOutcome]:
+        """Execute every task; outcomes return bound to the tasks' pairs,
+        in window-index order.
+
+        Tasks are sent :func:`longest_first`, one per pool call, so a free
+        worker takes the next-longest window.  The ordered-collection
+        stage sorts by window index, so callers see the same sequence
+        whatever the completion order was.
+        """
+        ordered = longest_first(tasks)
+        if self.n_workers == 1 or len(ordered) <= 1:
+            outcomes = [execute_shard(task) for task in ordered]
         else:
-            with self._pool(len(tasks)) as pool:
-                outcomes = [
-                    outcome
-                    for shard_outcomes in pool.map(execute_shard, tasks)
-                    for outcome in shard_outcomes
-                ]
+            pool = self._ensure_pool()
+            try:
+                outcomes = list(pool.map(execute_shard, ordered))
+            except BrokenExecutor:
+                # A dead worker breaks the whole pool: drop it, so the
+                # next run starts a fresh one.
+                self.close()
+                raise
+        for task, outcome in zip(ordered, outcomes):
+            outcome.bind(task.pairs)
         return sorted(outcomes, key=lambda outcome: outcome.index)
 
 
@@ -455,6 +526,7 @@ def run_windows(
     backend: str = "process",
     telemetry: Telemetry | None = None,
     ledger: DecisionLedger | None = None,
+    executor: ParallelExecutor | None = None,
 ) -> WindowRun:
     """Run every window of one video, in the regime ``n_workers`` picks.
 
@@ -483,13 +555,18 @@ def run_windows(
         telemetry: optional run-level telemetry.  Every window records a
             ``window`` span and a ``window.merge_ms`` sample into it
             (window-local telemetry is absorbed in window-index order,
-            plus one ``parallel.shard`` span per shard), and
+            plus one ``parallel.shard`` span per busy window, ranked in
+            dispatch order), and
             :attr:`WindowRun.window_metrics` is reported.
         ledger: optional run-level decision ledger, riding on the run's
             Telemetry.  Window-local ledgers are absorbed into it in
             window-index order (sequence numbers re-assigned, window
             stamps kept — exactly like ``Tracer.absorb``), so the merged
             log is worker-count independent.
+        executor: an open :class:`ParallelExecutor` to run the
+            window-local regime on, whose pool outlives this call (the
+            caller closes it); by default one is built for this call
+            and closed before it returns.
     """
     resilience = effective_resilience(resilience, fault_profile)
     run_telemetry = Telemetry.for_run(telemetry, ledger)
@@ -501,11 +578,8 @@ def run_windows(
         )
 
     busy = [index for index, pairs in enumerate(window_pairs) if pairs]
-    tasks = build_shard_tasks(
-        [
-            (i, [(c, window_pairs[c]) for c in busy[i::n_workers]])
-            for i in range(min(n_workers, len(busy)))
-        ],
+    tasks = build_window_tasks(
+        [(c, window_pairs[c]) for c in busy],
         world=world,
         merger=merger,
         cost_params=cost_params,
@@ -514,7 +588,12 @@ def run_windows(
         resilience=resilience,
         with_ledger=run_telemetry.ledger is not None,
     )
-    outcomes = ParallelExecutor(n_workers, backend).run(tasks)
+    with (
+        ParallelExecutor(n_workers, backend)
+        if executor is None
+        else nullcontext(executor)
+    ) as runner:
+        outcomes = runner.run(tasks)
     if contracts.ENABLED:
         contracts.check_shard_cover(
             (outcome.index for outcome in outcomes),
@@ -536,12 +615,12 @@ def run_windows(
         window_results.append(outcome.result)
         outcome.fold_into(cost, stats_total, run_telemetry)
         window_metrics.append(dict(outcome.telemetry["counters"]))
-    for task in tasks:
+    for rank, task in enumerate(longest_first(tasks)):
         with run_telemetry.span(
             "parallel.shard",
-            shard_id=task.shard_id,
-            n_windows=len(task.items),
-            window_ids=[item.index for item in task.items],
+            shard_id=rank,
+            window_ids=[task.index],
+            n_pairs=len(task.pairs),
             backend=backend,
             n_workers=n_workers,
         ):

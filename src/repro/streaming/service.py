@@ -61,7 +61,7 @@ from repro.faults.profiles import FaultProfile
 from repro.parallel.executor import (
     ParallelExecutor,
     WindowOutcome,
-    build_shard_tasks,
+    build_window_tasks,
 )
 from repro.provenance import EVENT_DEGRADE, DecisionLedger
 from repro.reid import CostModel, CostParams
@@ -270,6 +270,8 @@ class StreamingIngestionService:
         self._telemetry = Telemetry.for_run(telemetry, ledger)
         self.workers = workers
         self.parallel_backend = parallel_backend
+        #: Fans ready windows out; its pool lives for one :meth:`run`.
+        self._executor = ParallelExecutor(workers, parallel_backend)
         self.store = store
         self.checkpoint_key = checkpoint_key
         self._reset_state()
@@ -515,6 +517,8 @@ class StreamingIngestionService:
                     self.store.discard(["stream", self.checkpoint_key])
         except _Killed:
             stopped = True
+        finally:
+            self._executor.close()
         counters = dict(self.counters)
         counters["stream.events_shed_queue"] = float(self.queue.n_shed)
         return StreamRunResult(
@@ -688,7 +692,7 @@ class StreamingIngestionService:
     def _merge_batch(self, batch: list[dict]) -> dict[int, WindowOutcome]:
         """Run every non-degraded, non-empty ready window through the
         engine (fanning out when several are ready at once)."""
-        shards = []
+        windows = []
         for entry in batch:
             index = entry["index"]
             if entry["degraded"]:
@@ -697,9 +701,9 @@ class StreamingIngestionService:
                 self._tracks_of(index), self._previous_tracks_of(index)
             )
             if pairs:
-                shards.append((index, [(index, pairs)]))
-        tasks = build_shard_tasks(
-            shards,
+                windows.append((index, pairs))
+        tasks = build_window_tasks(
+            windows,
             world=self._world,
             merger=self.merger,
             cost_params=self.cost_params,
@@ -708,11 +712,7 @@ class StreamingIngestionService:
             resilience=self.resilience,
             with_ledger=self._telemetry.ledger is not None,
         )
-        if not tasks:
-            return {}
-        outcomes = ParallelExecutor(
-            self.workers, self.parallel_backend
-        ).run(tasks)
+        outcomes = self._executor.run(tasks)
         return {outcome.index: outcome for outcome in outcomes}
 
     def _emit(self, entry: dict, outcome: WindowOutcome | None) -> None:

@@ -6,6 +6,8 @@ session-scoped; tests must not mutate them.
 
 from __future__ import annotations
 
+import gc
+import multiprocessing
 import sys
 from pathlib import Path
 
@@ -76,3 +78,24 @@ def make_pipeline():
         return IngestionPipeline(**config)
 
     return build
+
+
+def pytest_sessionfinish(session, exitstatus):
+    """Fail the run if a pool worker outlives the tests.
+
+    Every pool owner (pipeline, streaming service, sweep) must close its
+    pool or drop it; a worker still alive here is a leaked pool.
+    Unreachable owners are collected first, since their finalizers join
+    the workers.
+    """
+    gc.collect()
+    leaked = multiprocessing.active_children()
+    if leaked:
+        writer = session.config.get_terminal_writer()
+        writer.line()
+        writer.line(
+            f"{len(leaked)} pool worker(s) outlived the tests: "
+            + ", ".join(f"{child.name} (pid {child.pid})" for child in leaked),
+            red=True,
+        )
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED

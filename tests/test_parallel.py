@@ -2,22 +2,34 @@
 
 The differential layer (``test_parallel_equivalence.py``) proves the
 end-to-end guarantee; this module pins down each component in isolation:
-seed-substream derivation, the shard-cover contract, and
-the delta-merge seams (cost clock, metric counters, trace spans) the
-aggregation stage relies on.
+seed-substream derivation, the shard-cover contract, the delta-merge
+seams (cost clock, metric counters, trace spans) the aggregation stage
+relies on, the pool's lifecycle and what crosses the pool seam.
 """
+
+import copy
+import dataclasses
+import io
+import multiprocessing
+import os
+import pickle
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
+import repro.parallel.executor as executor_module
 from repro import contracts
+from repro.core.pairs import TrackPair
 from repro.core.results import MergeResult
 from repro.experiments.bench_summary import (
     BenchSummary,
     compare_summaries,
 )
-from repro.parallel import single_window_seeds
+from repro.parallel import ParallelExecutor, single_window_seeds
+from repro.parallel.executor import longest_first
 from repro.reid.cost import CostModel
+from repro.track.base import Track
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracing import Span, Tracer
 
@@ -232,3 +244,230 @@ class TestMergeResultExtraWidening:
         )
         assert result.extra["label"] == "spatial-prior"
 
+
+
+# ----------------------------------------------------------------------
+# Pool lifecycle and the pool seam
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def tracked(chaos_world):
+    """Detections and tracks computed once; the merge stage re-runs."""
+    from repro.detect import NoisyDetector
+    from repro.track import TracktorTracker
+
+    detections = NoisyDetector().detect_video(chaos_world, seed=2)
+    return detections, TracktorTracker().run(detections)
+
+
+class _SpyPool(executor_module.ProcessPoolExecutor):
+    """A process pool that counts its instances and keeps what its
+    ``map`` sent, and a copy of what it received before the parent
+    bound anything (``spy_pool`` gives each test fresh counters)."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        type(self).built += 1
+        super().__init__(*args, **kwargs)
+
+    def map(self, fn, tasks, **kwargs):
+        tasks = list(tasks)
+        type(self).sent.extend(tasks)
+        outcomes = list(super().map(fn, tasks, **kwargs))
+        type(self).received.extend(copy.deepcopy(outcomes))
+        return iter(outcomes)
+
+
+@pytest.fixture
+def spy_pool(monkeypatch):
+    spy = type(
+        "SpyPool", (_SpyPool,), {"built": 0, "sent": [], "received": []}
+    )
+    monkeypatch.setattr(executor_module, "ProcessPoolExecutor", spy)
+    return spy
+
+
+def _pickled_types(obj) -> set[type]:
+    """Every type pickling ``obj`` writes."""
+    seen: set[type] = set()
+
+    class Spy(pickle.Pickler):
+        def persistent_id(self, value):
+            seen.add(type(value))
+            return None
+
+    Spy(io.BytesIO()).dump(obj)
+    return seen
+
+
+class _DyingMerger:
+    """A merger whose every run kills the process it runs in."""
+
+    name = "dying"
+    k = 0.1
+
+    def run(self, pairs, scorer):
+        os._exit(1)
+
+
+def _reap() -> list:
+    """Live ``multiprocessing`` children of this process."""
+    return multiprocessing.active_children()
+
+
+class TestPoolLifecycle:
+    def _pipeline(self, make_pipeline, **overrides):
+        return make_pipeline(window_length=100, workers=2, **overrides)
+
+    def test_three_runs_build_one_pool(
+        self, make_pipeline, chaos_world, spy_pool
+    ):
+        with self._pipeline(make_pipeline) as pipeline:
+            for _ in range(3):
+                pipeline.run(chaos_world)
+        assert spy_pool.built == 1
+
+    def test_construction_builds_no_pool(self, make_pipeline, spy_pool):
+        self._pipeline(make_pipeline)
+        assert spy_pool.built == 0
+
+    def test_close_joins_workers(self, make_pipeline, chaos_world, tracked):
+        pipeline = self._pipeline(make_pipeline)
+        pipeline.run_on_tracks(chaos_world, *tracked)
+        assert _reap()
+        pipeline.close()
+        assert _reap() == []
+        pipeline.close()  # idempotent
+
+    def test_with_joins_workers(self, make_pipeline, chaos_world, tracked):
+        with self._pipeline(make_pipeline) as pipeline:
+            pipeline.run_on_tracks(chaos_world, *tracked)
+            assert _reap()
+        assert _reap() == []
+
+    def test_dropping_the_pipeline_joins_workers(
+        self, make_pipeline, chaos_world, tracked
+    ):
+        pipeline = self._pipeline(make_pipeline)
+        pipeline.run_on_tracks(chaos_world, *tracked)
+        assert _reap()
+        del pipeline
+        assert _reap() == []
+
+    def test_replace_copy_never_shares_the_pool(
+        self, make_pipeline, chaos_world, tracked, spy_pool
+    ):
+        with self._pipeline(make_pipeline) as pipeline:
+            first = pipeline.run_on_tracks(chaos_world, *tracked)
+            with dataclasses.replace(pipeline, reid_seed=1) as twin:
+                twin.run_on_tracks(chaos_world, *tracked)
+            assert spy_pool.built == 2
+            again = pipeline.run_on_tracks(chaos_world, *tracked)
+            assert spy_pool.built == 2
+            assert [r.candidate_keys for r in again.window_results] == [
+                r.candidate_keys for r in first.window_results
+            ]
+
+    def test_copies_and_pickles_start_without_a_pool(
+        self, make_pipeline, chaos_world, tracked
+    ):
+        with self._pipeline(make_pipeline) as pipeline:
+            pipeline.run_on_tracks(chaos_world, *tracked)
+            assert pipeline._executor is not None
+            assert copy.deepcopy(pipeline)._executor is None
+            assert pickle.loads(pickle.dumps(pipeline))._executor is None
+
+    def test_run_after_close_builds_a_fresh_pool(
+        self, make_pipeline, chaos_world, tracked, spy_pool
+    ):
+        with self._pipeline(make_pipeline) as pipeline:
+            pipeline.run_on_tracks(chaos_world, *tracked)
+            pipeline.close()
+            pipeline.run_on_tracks(chaos_world, *tracked)
+        assert spy_pool.built == 2
+        assert _reap() == []
+
+    def test_broken_pool_is_replaced(
+        self, make_pipeline, chaos_world, tracked, spy_pool
+    ):
+        with self._pipeline(make_pipeline) as pipeline:
+            merger = pipeline.merger
+            pipeline.merger = _DyingMerger()
+            with pytest.raises(BrokenProcessPool):
+                pipeline.run_on_tracks(chaos_world, *tracked)
+            assert _reap() == []
+            pipeline.merger = merger
+            pipeline.run_on_tracks(chaos_world, *tracked)
+        assert spy_pool.built == 2
+
+    def test_shared_runtime_regime_builds_no_pool(
+        self, make_pipeline, chaos_world, tracked, spy_pool
+    ):
+        # workers=1: test_parallel_equivalence.py's
+        # test_workers_one_builds_no_pool.
+        with make_pipeline(window_length=100, workers=None) as pipeline:
+            pipeline.run_on_tracks(chaos_world, *tracked)
+        assert spy_pool.built == 0
+
+    def test_executor_with_no_tasks_builds_no_pool(self, spy_pool):
+        with ParallelExecutor(2) as executor:
+            assert executor.run([]) == []
+        assert spy_pool.built == 0
+
+
+class TestPoolSeam:
+    def _runs(self, make_pipeline, chaos_world, tracked):
+        results = {}
+        for workers in (1, 2):
+            with make_pipeline(window_length=100, workers=workers) as p:
+                results[workers] = p.run_on_tracks(chaos_world, *tracked)
+        return results
+
+    def test_candidates_are_the_parents_pairs(
+        self, make_pipeline, chaos_world, tracked, spy_pool
+    ):
+        results = self._runs(make_pipeline, chaos_world, tracked)
+        assert spy_pool.built == 1
+        pooled = results[2]
+        for pairs, result in zip(pooled.window_pairs, pooled.window_results):
+            owned = {id(pair) for pair in pairs}
+            assert all(id(pair) in owned for pair in result.candidates)
+        assert [
+            [pair.key for pair in r.candidates]
+            for r in pooled.window_results
+        ] == [
+            [pair.key for pair in r.candidates]
+            for r in results[1].window_results
+        ]
+
+    def test_tasks_carry_no_frames_and_outcomes_no_tracks(
+        self, make_pipeline, chaos_world, tracked, spy_pool
+    ):
+        self._runs(make_pipeline, chaos_world, tracked)
+        assert spy_pool.sent and spy_pool.received
+        full = len(pickle.dumps(chaos_world))
+        for task in spy_pool.sent:
+            assert task.world.frames == []
+            assert task.world.objects.keys() == chaos_world.objects.keys()
+            assert len(pickle.dumps(task.world)) < full / 4
+        for outcome in spy_pool.received:
+            shipped = _pickled_types(outcome)
+            assert Track not in shipped
+            assert TrackPair not in shipped
+            assert outcome.result.candidates == []
+            assert outcome.candidate_keys
+
+    def test_plan_is_longest_first_and_covers_busy_windows(
+        self, make_pipeline, chaos_world, tracked, spy_pool
+    ):
+        result = self._runs(make_pipeline, chaos_world, tracked)[2]
+        sizes = [len(task.pairs) for task in spy_pool.sent]
+        assert sizes == sorted(sizes, reverse=True)
+        assert sorted(task.index for task in spy_pool.sent) == [
+            c for c, pairs in enumerate(result.window_pairs) if pairs
+        ]
+
+    def test_longest_first_breaks_ties_by_index(self):
+        tasks = [
+            dataclasses.make_dataclass("T", ["index", "pairs"])(i, [0] * n)
+            for i, n in enumerate((2, 5, 2, 5, 1))
+        ]
+        assert [t.index for t in longest_first(tasks)] == [1, 3, 0, 2, 4]
