@@ -353,11 +353,14 @@ class IngestionPipeline:
             are *not* bit-identical to each other — see DESIGN.md §8.
         parallel_backend: pool flavour for ``workers`` ≥ 2 —
             ``"process"`` (default, real CPU parallelism) or
-            ``"thread"`` (shared memory, GIL-bound).  The pool is built
-            at the first run that needs it and serves every later run;
-            :meth:`close` (or leaving a ``with`` block) shuts it down
-            and joins the workers, as does dropping the pipeline.  A
-            :func:`dataclasses.replace` copy builds its own.
+            ``"thread"`` (shared memory, GIL-bound).  The first run
+            gives the pipeline one
+            :class:`~repro.parallel.ParallelExecutor`, whose pool is
+            built at the first run that needs it and serves every later
+            run; :meth:`close` (or leaving a ``with`` block) shuts it
+            down and joins the workers, as does dropping the pipeline.
+            A :func:`dataclasses.replace` copy, a deep copy or a pickle
+            builds its own.
         ledger: optional injected
             :class:`~repro.provenance.DecisionLedger`.  When set, it
             rides on the run's Telemetry and the merger records one
@@ -393,36 +396,12 @@ class IngestionPipeline:
         """Shut the worker pool down and join its workers (idempotent)."""
         if self._executor is not None:
             self._executor.close()
-            self._executor = None
 
     def __enter__(self) -> "IngestionPipeline":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def __getstate__(self) -> dict:
-        # A pool belongs to the object that built it: copies and pickles
-        # start without one.
-        return {**self.__dict__, "_executor": None}
-
-    def _pool_executor(self) -> ParallelExecutor | None:
-        """The pipeline's executor when ``workers`` ≥ 2 (built once)."""
-        if self.workers is None or self.workers < 2:
-            return None
-        # Imported lazily: repro.parallel imports this module.
-        from repro.parallel import ParallelExecutor
-
-        executor = self._executor
-        if executor is None or (executor.n_workers, executor.backend) != (
-            self.workers,
-            self.parallel_backend,
-        ):
-            self.close()
-            self._executor = ParallelExecutor(
-                self.workers, self.parallel_backend
-            )
-        return self._executor
 
     def run(self, world: VideoGroundTruth) -> IngestionResult:
         """Ingest one video end to end."""
@@ -451,8 +430,12 @@ class IngestionPipeline:
         picks.
         """
         # Imported lazily: repro.parallel imports this module.
-        from repro.parallel import run_windows
+        from repro.parallel import ParallelExecutor, run_windows
 
+        if self._executor is None and self.workers is not None:
+            self._executor = ParallelExecutor(
+                self.workers, self.parallel_backend
+            )
         telemetry = Telemetry.for_run(self.telemetry, self.ledger)
         windows = partition_windows(
             world.n_frames, self.window_length, l_max=self.l_max
@@ -484,11 +467,9 @@ class IngestionPipeline:
                 reid_seed=self.reid_seed,
                 fault_profile=self.fault_profile,
                 resilience=self.resilience,
-                n_workers=self.workers,
-                backend=self.parallel_backend,
+                executor=self._executor,
                 telemetry=self.telemetry,
                 ledger=self.ledger,
-                executor=self._pool_executor(),
             )
         telemetry.bind_clock(run.cost)
 

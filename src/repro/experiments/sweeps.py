@@ -121,11 +121,9 @@ def evaluate_merger(
                 reid_seed=reid_seed,
                 fault_profile=fault_profile,
                 resilience=resilience,
-                n_workers=workers,
-                backend=parallel_backend,
+                executor=executor,
                 telemetry=telemetry,
                 ledger=ledger,
-                executor=executor,
             )
             cost = run.cost
             for pairs, result, gt_keys in zip(

@@ -4,15 +4,15 @@ Public surface:
 
 * :func:`~repro.parallel.executor.run_windows` — the one window loop
   behind the ingestion pipeline and the experiment sweeps, in the
-  shared-runtime regime (``n_workers=None``: one ReID runtime threaded
-  through the windows in order) or the window-local regime (integer
-  ``n_workers``: each window a pure function of ``(seed, index)`` and
-  one task, run inline or sent longest first over a process/thread
+  shared-runtime regime (no executor: one ReID runtime threaded
+  through the windows in order) or the window-local regime (on a
+  ``ParallelExecutor``: each window a pure function of ``(seed, index)``
+  and one task, run inline or sent longest first over a process/thread
   pool).
 * :func:`~repro.parallel.executor.build_window_tasks` /
   :class:`~repro.parallel.executor.ParallelExecutor` — the task builder
-  and the pool owner (``close()`` or ``with``) the streaming service
-  shares.
+  and the pool owner (``close()`` or ``with``); the pipeline, the
+  sweeps and the streaming service each hold one.
 * :func:`~repro.parallel.executor.single_window_seeds` — one window's
   seed substreams, addressed by spawn key.
 

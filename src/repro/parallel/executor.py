@@ -8,15 +8,15 @@ window runs through :func:`_merge_window`, which owns the ``window``
 span, the ``window.merge_ms`` histogram and the top-K budget contract.
 There are two determinism regimes:
 
-Shared-runtime regime (``n_workers=None``)
-------------------------------------------
+Shared-runtime regime (no executor)
+-----------------------------------
 One :func:`~repro.core.pipeline.build_window_runtime` per video threads
 one ReID RNG stream, one feature cache, one clock and one breaker
 through the windows in index order.  State carried between windows
 cannot be split across workers, so this regime is serial only.
 
-Window-local regime (integer ``n_workers``)
--------------------------------------------
+Window-local regime (a :class:`ParallelExecutor`)
+-------------------------------------------------
 Every window runs against its own, freshly built execution state:
 
 * a :class:`~repro.reid.model.SimReIDModel` seeded from the window's
@@ -31,12 +31,13 @@ A window's result is therefore a pure function of
 ``(seed, window index)`` — independent of worker count, backend and
 scheduling order — which is what the differential test layer
 (``tests/test_parallel_equivalence.py``) asserts bit-for-bit.  Every
-busy window is one :class:`WindowTask`; with ``n_workers=1`` the tasks
-run inline in-process (no pool), and higher worker counts must
-reproduce that run exactly.  On a pool the tasks go out longest first,
-one per call, so a free worker takes the next-longest window.  What
-crosses the seam is slim both ways: a task carries its pairs, seeds and
-the world's config and objects (not its frames), and an outcome carries
+busy window is one :class:`WindowTask`; an executor with one worker
+runs the tasks inline in-process (no pool), and higher worker counts
+must reproduce that run exactly.  On a pool the tasks go out longest
+first, one per call, so a free worker takes the next-longest window.
+What crosses the seam is slim both ways: a task carries its pairs, seeds
+and the :meth:`~repro.reid.model.SimReIDModel.world_view` of the world
+(its config and objects, not its frames), and an outcome carries
 candidate keys, which :meth:`WindowOutcome.bind` points back at the
 caller's own pairs.  A :class:`ParallelExecutor` owns one pool for its
 life, so a pipeline pays for forking workers once, not once per video.
@@ -66,7 +67,6 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,7 +83,7 @@ from repro.core.results import MergeResult
 from repro.faults.injectors import WindowCrashInjector
 from repro.faults.profiles import FaultProfile
 from repro.provenance import DecisionLedger
-from repro.reid import CostModel, CostParams, ReidScorer
+from repro.reid import CostModel, CostParams, ReidScorer, SimReIDModel
 from repro.resilience import ResilienceConfig, ResilientReidScorer
 from repro.synth.world import VideoGroundTruth
 from repro.telemetry import MetricsRegistry, Telemetry
@@ -160,7 +160,8 @@ class WindowTask:
         index: the window index ``c``.
         pairs: the window's candidate pair set ``P_c`` (non-empty).
         seeds: the window's seed substreams.
-        world: the ground truth the ReID model reads.
+        world: the part of the ground truth the ReID model reads
+            (:meth:`~repro.reid.model.SimReIDModel.world_view`).
         merger: the merger prototype; the window runs a private deep
             copy.
         cost_params: simulated cost constants.
@@ -199,9 +200,7 @@ def build_window_tasks(
     service holding the same window run it identically.
     """
     resilience = effective_resilience(resilience, fault_profile)
-    # SimReIDModel reads only the config and the objects' appearance
-    # latents; frames, occluders and glare are ~90% of a pickled world.
-    world = dataclasses.replace(world, frames=[], occluders=[], glare=[])
+    world = SimReIDModel.world_view(world)
     return [
         WindowTask(
             index=index,
@@ -375,9 +374,14 @@ class ParallelExecutor:
 
     The pool is built by the first :meth:`run` that needs one (two or
     more workers and tasks) and serves every later run until
-    :meth:`close`.  Use the executor as a context manager, or call
+    :meth:`close`.  It has one worker per task of the run that built it,
+    up to ``n_workers``, since a forked pool starts all its workers at
+    once; a later run with more tasks than that replaces it with a
+    larger one.  Use the executor as a context manager, or call
     :meth:`close`; an executor that is collected unclosed shuts its pool
-    down and joins the workers through a finalizer.
+    down and joins the workers through a finalizer.  A copy or a pickle
+    of an executor starts without a pool: a pool belongs to the object
+    that built it.
 
     Args:
         n_workers: worker count; ``1`` executes every task inline in
@@ -395,16 +399,29 @@ class ParallelExecutor:
         self.n_workers = n_workers
         self.backend = backend
         self._pool: Executor | None = None
+        self._pool_workers = 0
         self._finalizer: weakref.finalize | None = None
 
-    def _ensure_pool(self) -> Executor:
+    def __getstate__(self) -> dict:
+        return {
+            **self.__dict__,
+            "_pool": None,
+            "_pool_workers": 0,
+            "_finalizer": None,
+        }
+
+    def _ensure_pool(self, n_tasks: int) -> Executor:
+        size = min(self.n_workers, n_tasks)
+        if self._pool is not None and self._pool_workers < size:
+            self.close()
         if self._pool is None:
             kind = (
                 ProcessPoolExecutor
                 if self.backend == "process"
                 else ThreadPoolExecutor
             )
-            self._pool = kind(max_workers=self.n_workers)
+            self._pool = kind(max_workers=size)
+            self._pool_workers = size
             self._finalizer = weakref.finalize(
                 self, _shutdown_pool, self._pool, os.getpid()
             )
@@ -418,6 +435,7 @@ class ParallelExecutor:
         if self._finalizer is not None:
             self._finalizer()
         self._pool = None
+        self._pool_workers = 0
         self._finalizer = None
 
     def __enter__(self) -> "ParallelExecutor":
@@ -428,18 +446,18 @@ class ParallelExecutor:
 
     def run(self, tasks: list[WindowTask]) -> list[WindowOutcome]:
         """Execute every task; outcomes return bound to the tasks' pairs,
-        in window-index order.
+        in dispatch order.
 
         Tasks are sent :func:`longest_first`, one per pool call, so a free
-        worker takes the next-longest window.  The ordered-collection
-        stage sorts by window index, so callers see the same sequence
-        whatever the completion order was.
+        worker takes the next-longest window.  Outcomes come back in that
+        order whatever the completion order was; callers that fold them
+        do so by window index.
         """
         ordered = longest_first(tasks)
         if self.n_workers == 1 or len(ordered) <= 1:
             outcomes = [execute_shard(task) for task in ordered]
         else:
-            pool = self._ensure_pool()
+            pool = self._ensure_pool(len(ordered))
             try:
                 outcomes = list(pool.map(execute_shard, ordered))
             except BrokenExecutor:
@@ -449,7 +467,7 @@ class ParallelExecutor:
                 raise
         for task, outcome in zip(ordered, outcomes):
             outcome.bind(task.pairs)
-        return sorted(outcomes, key=lambda outcome: outcome.index)
+        return outcomes
 
 
 @dataclass
@@ -522,19 +540,17 @@ def run_windows(
     reid_seed: int = 1,
     fault_profile: FaultProfile | None = None,
     resilience: ResilienceConfig | None = None,
-    n_workers: int | None = 1,
-    backend: str = "process",
+    executor: ParallelExecutor | None = None,
     telemetry: Telemetry | None = None,
     ledger: DecisionLedger | None = None,
-    executor: ParallelExecutor | None = None,
 ) -> WindowRun:
-    """Run every window of one video, in the regime ``n_workers`` picks.
+    """Run every window of one video, in the regime ``executor`` picks.
 
     The one window loop behind
     :class:`~repro.core.pipeline.IngestionPipeline` and
-    :func:`~repro.experiments.sweeps.evaluate_merger` (their
-    ``workers=`` argument is ``n_workers``).  See the module docstring
-    for the two determinism regimes.
+    :func:`~repro.experiments.sweeps.evaluate_merger` (each holds a
+    :class:`ParallelExecutor` for its ``workers=`` argument).  See the
+    module docstring for the two determinism regimes.
 
     Args:
         world: the simulated ground truth.
@@ -547,11 +563,10 @@ def run_windows(
         fault_profile: optional chaos configuration.
         resilience: optional resilience tuning; defaults on under a
             fault profile (:func:`effective_resilience`).
-        n_workers: ``None`` for the shared-runtime regime; an integer
-            for the window-local regime with that many workers (``1`` =
-            inline, no pool).
-        backend: ``"process"`` or ``"thread"`` pool (window-local
-            regime only).
+        executor: ``None`` for the shared-runtime regime; an executor
+            for the window-local regime on its workers (one worker =
+            inline, no pool).  The caller owns it and closes it, so its
+            pool can serve many calls.
         telemetry: optional run-level telemetry.  Every window records a
             ``window`` span and a ``window.merge_ms`` sample into it
             (window-local telemetry is absorbed in window-index order,
@@ -563,14 +578,10 @@ def run_windows(
             window-index order (sequence numbers re-assigned, window
             stamps kept — exactly like ``Tracer.absorb``), so the merged
             log is worker-count independent.
-        executor: an open :class:`ParallelExecutor` to run the
-            window-local regime on, whose pool outlives this call (the
-            caller closes it); by default one is built for this call
-            and closed before it returns.
     """
     resilience = effective_resilience(resilience, fault_profile)
     run_telemetry = Telemetry.for_run(telemetry, ledger)
-    if n_workers is None:
+    if executor is None:
         return _run_shared(
             world, window_pairs, merger, cost_params, reid_seed,
             fault_profile, resilience, run_telemetry,
@@ -578,22 +589,18 @@ def run_windows(
         )
 
     busy = [index for index, pairs in enumerate(window_pairs) if pairs]
-    tasks = build_window_tasks(
-        [(c, window_pairs[c]) for c in busy],
-        world=world,
-        merger=merger,
-        cost_params=cost_params,
-        reid_seed=reid_seed,
-        fault_profile=fault_profile,
-        resilience=resilience,
-        with_ledger=run_telemetry.ledger is not None,
+    outcomes = executor.run(
+        build_window_tasks(
+            [(c, window_pairs[c]) for c in busy],
+            world=world,
+            merger=merger,
+            cost_params=cost_params,
+            reid_seed=reid_seed,
+            fault_profile=fault_profile,
+            resilience=resilience,
+            with_ledger=run_telemetry.ledger is not None,
+        )
     )
-    with (
-        ParallelExecutor(n_workers, backend)
-        if executor is None
-        else nullcontext(executor)
-    ) as runner:
-        outcomes = runner.run(tasks)
     if contracts.ENABLED:
         contracts.check_shard_cover(
             (outcome.index for outcome in outcomes),
@@ -615,14 +622,14 @@ def run_windows(
         window_results.append(outcome.result)
         outcome.fold_into(cost, stats_total, run_telemetry)
         window_metrics.append(dict(outcome.telemetry["counters"]))
-    for rank, task in enumerate(longest_first(tasks)):
+    for rank, outcome in enumerate(outcomes):
         with run_telemetry.span(
             "parallel.shard",
             shard_id=rank,
-            window_ids=[task.index],
-            n_pairs=len(task.pairs),
-            backend=backend,
-            n_workers=n_workers,
+            window_ids=[outcome.index],
+            n_pairs=len(window_pairs[outcome.index]),
+            backend=executor.backend,
+            n_workers=executor.n_workers,
         ):
             pass
     return WindowRun(

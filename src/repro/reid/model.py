@@ -11,6 +11,7 @@ pseudo-latents so false-positive tracks look like distinct objects.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -111,6 +112,18 @@ class SimReIDModel:
         self._rng = np.random.default_rng(seed)
         self._clutter_latents: dict[int, np.ndarray] = {}
         self._pose_bases: dict[int, np.ndarray] = {}
+
+    @staticmethod
+    def world_view(world: VideoGroundTruth) -> VideoGroundTruth:
+        """A copy of ``world`` with only what this model reads: the
+        config and the objects (their appearance latents).
+
+        The window-local regime ships this view across the pool seam
+        instead of the whole video; frames, occluders and glare are
+        ~90% of a pickled world.  A model that starts reading another
+        field must keep it here.
+        """
+        return dataclasses.replace(world, frames=[], occluders=[], glare=[])
 
     def _pose_basis(self, object_id: int) -> np.ndarray:
         """The object's 2-D pose subspace, an orthonormal ``(2, dim)``."""

@@ -26,10 +26,16 @@ from repro.experiments.bench_summary import (
     BenchSummary,
     compare_summaries,
 )
-from repro.parallel import ParallelExecutor, single_window_seeds
+from repro.parallel import (
+    ParallelExecutor,
+    build_window_tasks,
+    execute_shard,
+    single_window_seeds,
+)
 from repro.parallel.executor import longest_first
 from repro.reid.cost import CostModel
 from repro.track.base import Track
+from repro.telemetry import Telemetry
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracing import Span, Tracer
 
@@ -266,6 +272,7 @@ class _SpyPool(executor_module.ProcessPoolExecutor):
 
     def __init__(self, *args, **kwargs) -> None:
         type(self).built += 1
+        type(self).sizes.append(kwargs["max_workers"])
         super().__init__(*args, **kwargs)
 
     def map(self, fn, tasks, **kwargs):
@@ -279,7 +286,9 @@ class _SpyPool(executor_module.ProcessPoolExecutor):
 @pytest.fixture
 def spy_pool(monkeypatch):
     spy = type(
-        "SpyPool", (_SpyPool,), {"built": 0, "sent": [], "received": []}
+        "SpyPool",
+        (_SpyPool,),
+        {"built": 0, "sizes": [], "sent": [], "received": []},
     )
     monkeypatch.setattr(executor_module, "ProcessPoolExecutor", spy)
     return spy
@@ -371,9 +380,15 @@ class TestPoolLifecycle:
     ):
         with self._pipeline(make_pipeline) as pipeline:
             pipeline.run_on_tracks(chaos_world, *tracked)
-            assert pipeline._executor is not None
-            assert copy.deepcopy(pipeline)._executor is None
-            assert pickle.loads(pickle.dumps(pipeline))._executor is None
+            assert pipeline._executor._pool is not None
+            for twin in (
+                copy.deepcopy(pipeline),
+                pickle.loads(pickle.dumps(pipeline)),
+            ):
+                assert twin._executor is not pipeline._executor
+                assert twin._executor._pool is None
+                assert twin._executor.n_workers == 2
+            assert dataclasses.replace(pipeline)._executor is None
 
     def test_run_after_close_builds_a_fresh_pool(
         self, make_pipeline, chaos_world, tracked, spy_pool
@@ -406,6 +421,32 @@ class TestPoolLifecycle:
         with make_pipeline(window_length=100, workers=None) as pipeline:
             pipeline.run_on_tracks(chaos_world, *tracked)
         assert spy_pool.built == 0
+
+    def test_pool_grows_with_the_task_count_up_to_n_workers(
+        self, make_pipeline, chaos_world, tracked, spy_pool
+    ):
+        result = make_pipeline(window_length=60, workers=1).run_on_tracks(
+            chaos_world, *tracked
+        )
+        busy = [(c, p) for c, p in enumerate(result.window_pairs) if p]
+        assert len(busy) >= 3
+        tasks = build_window_tasks(
+            busy,
+            world=chaos_world,
+            merger=make_pipeline().merger,
+            cost_params=None,
+            reid_seed=1,
+            fault_profile=None,
+            resilience=None,
+            with_ledger=False,
+        )
+        with ParallelExecutor(3) as executor:
+            for n in (2, 2, 3, 2):
+                executor.run(copy.deepcopy(tasks[:n]))
+        with ParallelExecutor(2) as capped:
+            capped.run(copy.deepcopy(tasks[:3]))
+        assert spy_pool.sizes == [2, 3, 2]
+        assert _reap() == []
 
     def test_executor_with_no_tasks_builds_no_pool(self, spy_pool):
         with ParallelExecutor(2) as executor:
@@ -464,6 +505,61 @@ class TestPoolSeam:
         assert sorted(task.index for task in spy_pool.sent) == [
             c for c, pairs in enumerate(result.window_pairs) if pairs
         ]
+
+    def test_world_view_keeps_window_results(
+        self, make_pipeline, chaos_world, tracked
+    ):
+        # Every worker count ships the same view, so the equivalence
+        # tests cannot see a model that reads a field the view drops.
+        result = make_pipeline(window_length=100, workers=1).run_on_tracks(
+            chaos_world, *tracked
+        )
+        tasks = build_window_tasks(
+            [
+                (c, pairs)
+                for c, pairs in enumerate(result.window_pairs)
+                if pairs
+            ],
+            world=chaos_world,
+            merger=make_pipeline().merger,
+            cost_params=None,
+            reid_seed=1,
+            fault_profile=None,
+            resilience=None,
+            with_ledger=False,
+        )
+        assert tasks
+        for task in tasks:
+            assert task.world.frames == []
+            # Copies: a window run draws on its pairs' sampling state.
+            viewed = execute_shard(copy.deepcopy(task))
+            whole = execute_shard(
+                dataclasses.replace(copy.deepcopy(task), world=chaos_world)
+            )
+            assert viewed.candidate_keys == whole.candidate_keys
+            assert viewed.cost_state == whole.cost_state
+
+    def test_shard_spans_follow_dispatch_and_name_the_executor(
+        self, make_pipeline, chaos_world, tracked
+    ):
+        telemetry = Telemetry()
+        with make_pipeline(
+            window_length=100, workers=2, telemetry=telemetry
+        ) as pipeline:
+            result = pipeline.run_on_tracks(chaos_world, *tracked)
+        spans = [
+            s for s in telemetry.tracer.spans if s.name == "parallel.shard"
+        ]
+        ranked = sorted(spans, key=lambda s: s.attributes["shard_id"])
+        sizes = [s.attributes["n_pairs"] for s in ranked]
+        assert sizes == sorted(sizes, reverse=True)
+        for span in ranked:
+            (index,) = span.attributes["window_ids"]
+            assert span.attributes["n_pairs"] == len(
+                result.window_pairs[index]
+            )
+            assert span.attributes["n_workers"] == 2
+            assert span.attributes["backend"] == "process"
 
     def test_longest_first_breaks_ties_by_index(self):
         tasks = [
