@@ -8,7 +8,9 @@ the algorithm: recall, ReID invocations and the simulated clock must be
 than the gate's 5% simulated-ms tolerance, which guards the same number
 against drift across commits.  The wall-clock price of recording is
 machine-dependent and lands in the ungated ``extras`` (overhead ratio,
-events recorded, events per simulated second).
+events recorded, events per simulated second).  Each variant runs
+:data:`REPEATS` times, interleaved, and the fastest run of each counts:
+one ~0.1 s run on a shared host reads anywhere from 0.8x to 1.5x.
 """
 
 import time
@@ -22,6 +24,8 @@ from repro.provenance import DecisionLedger
 from repro.telemetry import Telemetry
 
 TAU_MAX = 400
+#: Timed runs per variant (the fastest counts).
+REPEATS = 5
 
 
 def _factory():
@@ -43,13 +47,25 @@ def _run(videos, *, observed: bool):
     }
 
 
+def _fastest(runs):
+    return min(runs, key=lambda run: run["wall_s"])
+
+
 def test_ledger_overhead(mot17_videos):
-    plain = _run(mot17_videos, observed=False)
-    observed = _run(mot17_videos, observed=True)
+    plain_runs, observed_runs = [], []
+    for _ in range(REPEATS):
+        plain_runs.append(_run(mot17_videos, observed=False))
+        observed_runs.append(_run(mot17_videos, observed=True))
+    plain = _fastest(plain_runs)
+    observed = _fastest(observed_runs)
     ledger = observed["ledger"]
 
-    # Transparency: the observed run is the plain run, bit for bit.
-    assert observed["point"] == plain["point"]
+    # Transparency: every observed run is the plain run, bit for bit,
+    # and records the same log.
+    for run in plain_runs + observed_runs:
+        assert run["point"] == plain["point"]
+    for run in observed_runs:
+        assert run["ledger"].to_dicts() == ledger.to_dicts()
     assert len(ledger) > 0
 
     simulated_ms = observed["point"].simulated_seconds * 1000.0

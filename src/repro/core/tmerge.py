@@ -45,7 +45,6 @@ from repro.core.ulb import UlbPruner
 from repro.provenance import (
     EVENT_DEGRADE,
     EVENT_FINAL,
-    EVENT_SAMPLE,
     EVENT_WINDOW,
     DecisionLedger,
 )
@@ -66,9 +65,12 @@ from repro.telemetry import Telemetry
 #: from the interrupted run, and the decision ledger's state
 #: (``"ledger"``, ``None`` when the run records no provenance), so a
 #: kill+resume reconstructs the decision log bit-exactly (see
-#: :meth:`TMerge._check_checkpoint_compat`).  v4 carries the Beta
-#: posterior only.
-CHECKPOINT_VERSION = 4
+#: :meth:`TMerge._check_checkpoint_compat`).  v5 logs iterations as
+#: columnar ``sample`` blocks (DESIGN.md §11).
+CHECKPOINT_VERSION = 5
+
+#: The outcomes of an iteration that observed no arm.
+_NO_HITS = np.zeros(0, dtype=bool)
 
 
 class TMerge:
@@ -103,10 +105,11 @@ class TMerge:
     (:attr:`ReidScorer.telemetry <repro.reid.scorer.ReidScorer.telemetry>`):
     the bandit's counters (``tmerge.thompson_draws``, ``ulb.accepted`` …)
     land next to the ReID-cost counters, and when that Telemetry carries
-    a :class:`~repro.provenance.DecisionLedger` the run records one
-    decision event per iteration, ULB pass and degradation (DESIGN.md
-    §11).  Observation never consumes the RNG stream or touches the
-    simulated clock, so results are bit-identical with it on or off.
+    a :class:`~repro.provenance.DecisionLedger` the run records its
+    iterations as columnar ``sample`` blocks, plus one decision event per
+    ULB pass and degradation (DESIGN.md §11).  Observation never consumes
+    the RNG stream or touches the simulated clock, so results are
+    bit-identical with it on or off.
     The ledger state rides inside checkpoints, so a killed-and-resumed
     window reconstructs its decision log bit-exactly.
     """
@@ -189,7 +192,13 @@ class TMerge:
         with telemetry.span(
             "tmerge.run", method=self.name, n_pairs=len(pairs)
         ):
-            return self._run(pairs, scorer, telemetry)
+            try:
+                return self._run(pairs, scorer, telemetry)
+            finally:
+                # Close the open sample block, so a crashed attempt's
+                # iterations are logged too.
+                if telemetry.ledger is not None:
+                    telemetry.ledger.close_samples()
 
     def _run(
         self,
@@ -224,25 +233,24 @@ class TMerge:
         regret = RegretTracker(self.s_min) if self.s_min is not None else None
 
         window_key = [list(pair.key) for pair in pairs]
-        # Recorded *before* any checkpoint restore: a resume's
-        # ledger.load_state_dict overwrites this re-recorded event with
-        # the snapshot's log, so crash-retry never duplicates.
-        telemetry.record(
-            EVENT_WINDOW,
-            pairs=window_key,
-            n_pairs=n,
-            budget=budget,
-            batch=self.effective_batch,
-            seed=self.seed,
-        )
-
-        def posterior_rows(arms: np.ndarray) -> list[list[float]]:
-            # Snapshot of the recorded arms' [alpha, beta]; reads current
-            # bindings, so it sees restored state after a resume.
-            return [
-                [float(successes[int(a)]), float(failures[int(a)])]
-                for a in arms
-            ]
+        samples = None
+        if ledger is not None:
+            # Recorded *before* any checkpoint restore: a resume's
+            # ledger.load_state_dict overwrites this re-recorded event
+            # with the snapshot's log, so crash-retry never duplicates.
+            # The priors let readers rebuild every posterior from the
+            # sample blocks' hits.
+            ledger.record(
+                EVENT_WINDOW,
+                pairs=window_key,
+                n_pairs=n,
+                budget=budget,
+                batch=self.effective_batch,
+                seed=self.seed,
+                prior_alpha=successes.tolist(),
+                prior_beta=failures.tolist(),
+            )
+            samples = ledger.samples
 
         tau0 = 0
         iterations = 0
@@ -308,9 +316,6 @@ class TMerge:
                     EVENT_DEGRADE, tau=tau, reason="reid_unavailable"
                 )
                 break
-            post_before = (
-                posterior_rows(owners) if ledger is not None else None
-            )
 
             # Vectorized posterior update.  Owners are distinct arms (one
             # draw per selected live arm), so fancy-index scatter adds are
@@ -318,6 +323,7 @@ class TMerge:
             # which consumes the PCG64 stream in the same order as m
             # scalar draws — bit-identical to the historical per-
             # observation loop.
+            hits = _NO_HITS
             if owners.size:
                 if contracts.ENABLED:
                     contracts.check_normalized_distance(
@@ -340,17 +346,8 @@ class TMerge:
                 eligible[owners[exhausted]] = False
                 if classes is not None:
                     classes.add(owners[~exhausted], successes, failures)
-            if ledger is not None:
-                ledger.record(
-                    EVENT_SAMPLE,
-                    tau=tau,
-                    arms=[int(a) for a in selected],
-                    theta=[float(t) for t in theta_sel],
-                    observed=[int(a) for a in owners],
-                    d_norm=[float(d) for d in d_norms],
-                    posterior_before=post_before,
-                    posterior_after=posterior_rows(owners),
-                )
+            if samples is not None:
+                samples.add(tau, selected, theta_sel, owners, d_norms, hits)
 
             scorer.cost.charge_overhead(1)
             iterations = tau

@@ -2,11 +2,13 @@
 
 Answers the question telemetry aggregates cannot: *why* did TMerge merge
 (or refuse to merge) a specific pair of tracks?  A bounded, injected
-:class:`DecisionLedger` records one compact deterministic
-:class:`DecisionEvent` per TMerge iteration, ULB prune pass, resilience
-intervention and backpressure verdict; :func:`explain_pair` reconstructs
-the full decision chain for any pair from the live ledger or a JSONL
-export (the ``python -m repro.experiments explain`` CLI).
+:class:`DecisionLedger` records compact deterministic
+:class:`DecisionEvent` records: one columnar ``sample`` block per stretch
+of TMerge iterations, and one event per window, ULB prune pass,
+resilience intervention, backpressure verdict and final verdict.
+:func:`explain_pair` reconstructs the full decision chain for any pair
+from the live ledger or a JSONL export (the ``python -m
+repro.experiments explain`` CLI).
 
 The ledger rides on the run's :class:`~repro.telemetry.Telemetry`
 (DESIGN.md §11): always injected (lint rule REPRO010), off by
@@ -25,6 +27,8 @@ from repro.provenance.events import (
     EVENT_ULB,
     EVENT_WINDOW,
     DecisionEvent,
+    SampleBlock,
+    sample_rows,
 )
 from repro.provenance.explain import (
     VERDICT_CANDIDATE,
@@ -57,6 +61,7 @@ __all__ = [
     "EVENT_SAMPLE",
     "EVENT_ULB",
     "EVENT_WINDOW",
+    "SampleBlock",
     "VERDICT_CANDIDATE",
     "VERDICT_NOT_SELECTED",
     "VERDICT_ULB_ACCEPTED",
@@ -65,5 +70,6 @@ __all__ = [
     "events_from_jsonl",
     "explain_pair",
     "load_events_jsonl",
+    "sample_rows",
     "windows_containing",
 ]

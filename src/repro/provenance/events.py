@@ -1,11 +1,12 @@
-"""The decision-event schema: one compact record per merge decision.
+"""The decision-event schema: compact records of merge decisions.
 
 Every event a :class:`~repro.provenance.ledger.DecisionLedger` holds is a
-:class:`DecisionEvent` — a small, pure-JSON record of one step of the
-TMerge decision procedure (DESIGN.md §11).  The schema is deliberately
-narrow: a sequence number, the owning window, the decision kind (one of
-the reason codes below), the iteration τ it happened at, and a
-kind-specific ``data`` payload of plain lists/floats/ints.  Everything
+:class:`DecisionEvent` — a pure-JSON record of one step of the TMerge
+decision procedure, or of a block of sampling iterations (DESIGN.md
+§11).  The schema is deliberately narrow: a sequence number, the owning
+window, the decision kind (one of the reason codes below), the iteration
+τ it happened at (a block's last), and a kind-specific ``data`` payload
+of plain lists/floats/ints.  Everything
 round-trips through JSON bit-exactly, which is what lets ledgers live
 inside checkpoints and JSONL exports without a serialization layer.
 
@@ -14,13 +15,19 @@ Reason codes
 ``window``
     A window's sampling run opened: records the arm → pair-key table
     (``pairs``, index-aligned with every later arm index), the candidate
-    budget and the effective batch size.
+    budget, the effective batch size and every arm's BetaInit prior
+    (``prior_alpha`` / ``prior_beta``).
 ``sample``
-    One TMerge iteration: the arms whose Thompson draws were selected
-    (``arms``, with their drawn ``theta``), the subset actually observed
-    (``observed``, skipping exhausted pairs), the normalized ReID
-    distances ``d_norm`` and the per-observed-arm posterior state
-    ``posterior_before`` / ``posterior_after`` (``[alpha, beta]`` pairs).
+    A block of consecutive TMerge iterations, one row each, stored as
+    the columns of :class:`SampleBlock`: per row its ``tau``, ``n_arms``
+    and ``n_observed``; flat over the rows, the arms whose Thompson draws
+    were selected (``arms``, with their drawn ``theta``), the subset
+    actually observed (``observed``, skipping exhausted pairs) and, per
+    observation, the normalized ReID distance ``d_norm`` and the
+    Bernoulli outcome ``hit`` (1 on success ⇒ "looks distant", else 0).  Posteriors
+    are not stored: an arm's ``[alpha, beta]`` is its prior plus its
+    hits and misses so far, which
+    :func:`~repro.provenance.explain.explain_pair` rebuilds.
 ``ulb``
     One ULB pruning pass that changed the partition: newly accepted and
     rejected arms with their Hoeffding radii at that τ.
@@ -42,10 +49,13 @@ Reason codes
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator, NamedTuple
+
+import numpy as np
 
 #: A window's sampling run opened (arm → pair-key table).
 EVENT_WINDOW = "window"
-#: One TMerge iteration (Thompson draws + posterior movement).
+#: A block of TMerge iterations (Thompson draws + observations).
 EVENT_SAMPLE = "sample"
 #: One ULB pruning pass that accepted/rejected arms.
 EVENT_ULB = "ulb"
@@ -78,8 +88,9 @@ class DecisionEvent:
         kind: one of :data:`EVENT_KINDS`.
         window: the owning window index (``None`` when the recorder ran
             outside any window context).
-        tau: the TMerge iteration the event happened at (``None`` for
-            events outside the sampling loop, e.g. ``window``/``final``).
+        tau: the TMerge iteration the event happened at — a ``sample``
+            block's last row (``None`` for events outside the sampling
+            loop, e.g. ``window``/``final``).
         data: kind-specific payload of JSON-safe scalars and lists.
     """
 
@@ -124,3 +135,95 @@ class DecisionEvent:
             ),
             data=dict(payload.get("data", {})),
         )
+
+
+class SampleRow(NamedTuple):
+    """One TMerge iteration read back from a ``sample`` block."""
+
+    tau: int
+    arms: list[int]
+    theta: list[float]
+    observed: list[int]
+    d_norm: list[float]
+    hit: list[int]
+
+
+class SampleBlock:
+    """A run's open ``sample`` block: TMerge iterations held as columns.
+
+    :meth:`add` keeps each iteration's arrays by reference — no per-row
+    conversion — and :meth:`data` turns them into the event's pure-JSON
+    columns once, when the ledger closes the block.
+    """
+
+    def __init__(self) -> None:
+        self.clear()
+
+    def clear(self) -> None:
+        """Drop every row."""
+        self._tau: list[int] = []
+        self._arms: list[np.ndarray] = []
+        self._theta: list[np.ndarray] = []
+        self._observed: list[np.ndarray] = []
+        self._d_norm: list[np.ndarray] = []
+        self._hit: list[np.ndarray] = []
+
+    def __len__(self) -> int:
+        return len(self._tau)
+
+    @property
+    def last_tau(self) -> int:
+        """The τ of the newest row (the block's event τ)."""
+        return self._tau[-1]
+
+    def add(
+        self,
+        tau: int,
+        arms: np.ndarray,
+        theta: np.ndarray,
+        observed: np.ndarray,
+        d_norm: np.ndarray,
+        hit: np.ndarray,
+    ) -> None:
+        """Append iteration ``tau``: the selected ``arms`` with their
+        draws ``theta``, and the ``observed`` arms with their distances
+        ``d_norm`` and outcomes ``hit``.  The arrays must not change
+        afterwards."""
+        self._tau.append(tau)
+        self._arms.append(arms)
+        self._theta.append(theta)
+        self._observed.append(observed)
+        self._d_norm.append(d_norm)
+        self._hit.append(hit)
+
+    def data(self) -> dict:
+        """The block's ``sample`` event payload (pure JSON; the block
+        holds at least one row)."""
+        return {
+            "tau": list(self._tau),
+            "n_arms": [len(arms) for arms in self._arms],
+            "n_observed": [len(observed) for observed in self._observed],
+            "arms": np.concatenate(self._arms).tolist(),
+            "theta": np.concatenate(self._theta).tolist(),
+            "observed": np.concatenate(self._observed).tolist(),
+            "d_norm": np.concatenate(self._d_norm).tolist(),
+            "hit": np.concatenate(self._hit).astype(np.int64).tolist(),
+        }
+
+
+def sample_rows(data: dict) -> Iterator[SampleRow]:
+    """The rows of a ``sample`` event's ``data``, in τ order."""
+    at = seen = 0
+    for tau, n_arms, n_observed in zip(
+        data["tau"], data["n_arms"], data["n_observed"]
+    ):
+        arms_end, seen_end = at + n_arms, seen + n_observed
+        yield SampleRow(
+            tau=tau,
+            arms=data["arms"][at:arms_end],
+            theta=data["theta"][at:arms_end],
+            observed=data["observed"][seen:seen_end],
+            d_norm=data["d_norm"][seen:seen_end],
+            hit=data["hit"][seen:seen_end],
+        )
+        at, seen = arms_end, seen_end

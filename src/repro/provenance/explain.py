@@ -4,9 +4,10 @@ Given a ledger's events — live from a :class:`DecisionLedger`, or loaded
 back from a JSONL export — :func:`explain_pair` rebuilds the complete
 decision chain for one track pair: its BetaInit prior, every Thompson
 draw that selected it, every observation and the posterior movement it
-caused, the ULB verdict (with the radius in force), any degradation or
-fault interventions, and the final candidate verdict with its posterior
-mean.  This is the query surface behind
+caused (rebuilt from the window's BetaInit prior and the pair's hits and
+misses in the ``sample`` blocks), the ULB verdict (with the radius in
+force), any degradation or fault interventions, and the final candidate
+verdict with its posterior mean.  This is the query surface behind
 ``python -m repro.experiments explain``.
 """
 
@@ -22,6 +23,7 @@ from repro.provenance.events import (
     EVENT_ULB,
     EVENT_WINDOW,
     DecisionEvent,
+    sample_rows,
 )
 
 #: Final verdicts :func:`explain_pair` can assign.
@@ -30,6 +32,10 @@ VERDICT_ULB_ACCEPTED = "candidate (ULB-accepted)"
 VERDICT_ULB_REJECTED = "rejected (ULB-pruned)"
 VERDICT_NOT_SELECTED = "not selected"
 VERDICT_UNRESOLVED = "unresolved (no final event)"
+
+#: ``window`` event keys a chain's opening step leaves out of its detail
+#: (every arm's prior; the step is about the window, not the arms).
+_PRIOR_KEYS = ("prior_alpha", "prior_beta")
 
 
 @dataclass
@@ -101,14 +107,27 @@ def _posterior_mean(state: list) -> float:
     return alpha / (alpha + beta)
 
 
+def _prior(opened: DecisionEvent, arm: int) -> list[float]:
+    """``arm``'s BetaInit ``[alpha, beta]`` from a ``window`` event."""
+    return [
+        float(opened.data["prior_alpha"][arm]),
+        float(opened.data["prior_beta"][arm]),
+    ]
+
+
 def windows_containing(
     events: list[DecisionEvent], pair: tuple[int, int]
 ) -> list[int]:
-    """Window indices whose recorded pair table contains ``pair``."""
+    """Window indices whose recorded pair table contains ``pair``, each
+    once (a window restarted from scratch records two tables)."""
     key = sorted(int(x) for x in pair)
     found = []
     for event in events:
-        if event.kind != EVENT_WINDOW or event.window is None:
+        if (
+            event.kind != EVENT_WINDOW
+            or event.window is None
+            or event.window in found
+        ):
             continue
         for recorded in event.data.get("pairs", []):
             if sorted(int(x) for x in recorded) == key:
@@ -178,54 +197,63 @@ def explain_pair(
                 f"budget {opened.data.get('budget')}, "
                 f"batch {opened.data.get('batch')}"
             ),
-            detail=dict(opened.data),
+            detail={
+                name: value
+                for name, value in opened.data.items()
+                if name not in _PRIOR_KEYS
+            },
         )
     ]
     verdict = VERDICT_UNRESOLVED
     final_score: float | None = None
     n_observations = 0
+    # The arm's [alpha, beta]: reset to its prior by each ``window``
+    # event (a crashed window restarted from scratch logs a second one),
+    # then moved by each of its observations' hit or miss.
+    posterior = _prior(opened, arm)
 
     for event in scoped:
-        if event.kind == EVENT_SAMPLE:
-            arms = [int(a) for a in event.data.get("arms", [])]
-            observed = [int(a) for a in event.data.get("observed", [])]
-            if arm not in arms and arm not in observed:
-                continue
-            detail = {"arms": arms, "observed": observed}
-            if arm in arms:
-                theta = float(event.data["theta"][arms.index(arm)])
-                detail["theta"] = theta
-            if arm in observed:
-                pos = observed.index(arm)
-                d_norm = float(event.data["d_norm"][pos])
-                before = event.data["posterior_before"][pos]
-                after = event.data["posterior_after"][pos]
-                n_observations += 1
-                detail.update(
-                    d_norm=d_norm,
-                    posterior_before=before,
-                    posterior_after=after,
+        if event.kind == EVENT_WINDOW:
+            posterior = _prior(event, arm)
+        elif event.kind == EVENT_SAMPLE:
+            for row in sample_rows(event.data):
+                if arm not in row.arms and arm not in row.observed:
+                    continue
+                detail = {"arms": row.arms, "observed": row.observed}
+                if arm in row.arms:
+                    detail["theta"] = float(row.theta[row.arms.index(arm)])
+                if arm in row.observed:
+                    pos = row.observed.index(arm)
+                    d_norm = float(row.d_norm[pos])
+                    before = list(posterior)
+                    posterior[0 if row.hit[pos] else 1] += 1.0
+                    n_observations += 1
+                    detail.update(
+                        d_norm=d_norm,
+                        posterior_before=before,
+                        posterior_after=list(posterior),
+                    )
+                    summary = (
+                        f"drawn theta="
+                        f"{detail.get('theta', float('nan')):.4f}, "
+                        f"observed d_norm={d_norm:.4f}; posterior mean "
+                        f"{_posterior_mean(before):.4f} -> "
+                        f"{_posterior_mean(posterior):.4f}"
+                    )
+                else:
+                    summary = (
+                        f"drawn theta={detail['theta']:.4f} but pair "
+                        "exhausted; no observation"
+                    )
+                steps.append(
+                    DecisionStep(
+                        seq=event.seq,
+                        tau=row.tau,
+                        kind=EVENT_SAMPLE,
+                        summary=summary,
+                        detail=detail,
+                    )
                 )
-                summary = (
-                    f"drawn theta={detail.get('theta', float('nan')):.4f}, "
-                    f"observed d_norm={d_norm:.4f}; posterior mean "
-                    f"{_posterior_mean(before):.4f} -> "
-                    f"{_posterior_mean(after):.4f}"
-                )
-            else:
-                summary = (
-                    f"drawn theta={detail['theta']:.4f} but pair "
-                    "exhausted; no observation"
-                )
-            steps.append(
-                DecisionStep(
-                    seq=event.seq,
-                    tau=event.tau,
-                    kind=EVENT_SAMPLE,
-                    summary=summary,
-                    detail=detail,
-                )
-            )
         elif event.kind == EVENT_ULB:
             accepted = [int(a) for a in event.data.get("accepted", [])]
             rejected = [int(a) for a in event.data.get("rejected", [])]

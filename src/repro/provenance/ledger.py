@@ -4,7 +4,11 @@ A :class:`DecisionLedger` collects
 :class:`~repro.provenance.events.DecisionEvent` records from every layer
 of a run — TMerge iterations, ULB prune passes, resilience
 interventions, streaming backpressure verdicts — into one bounded,
-insertion-ordered log.
+insertion-ordered log.  TMerge iterations go into the ledger's open
+:class:`~repro.provenance.events.SampleBlock` instead, which the ledger
+closes into one ``sample`` event before it records any other event, when
+it snapshots its state, and when the run ends (:meth:`close_samples`):
+the log stays in τ order, and a snapshot holds every sample up to its τ.
 
 Ownership model (lint-enforced by REPRO010): a ledger is constructed by
 whoever owns a run and rides on the run's
@@ -31,11 +35,12 @@ import json
 from collections import deque
 from typing import Iterable, Iterator
 
-from repro.provenance.events import DecisionEvent
+from repro.provenance.events import EVENT_SAMPLE, DecisionEvent, SampleBlock
 
 #: Default event-capacity bound.  Generous for any test/bench workload
-#: (a smoke window records tens of events per iteration budget) while
-#: keeping a runaway soak from growing without bound.
+#: (a window records a handful of events: its ``window``, ``sample``
+#: blocks, ``ulb`` passes and ``final``) while keeping a runaway soak
+#: from growing without bound.
 DEFAULT_MAX_EVENTS = 100_000
 
 
@@ -43,9 +48,11 @@ class DecisionLedger:
     """A bounded, insertion-ordered log of merge decisions.
 
     Args:
-        max_events: capacity bound; the oldest events are dropped (and
-            counted in :attr:`n_dropped`) once it is exceeded.  ``None``
-            means unbounded — only sensible for short diagnostic runs.
+        max_events: capacity bound on events — a ``sample`` block is one
+            event, whatever its row count; the oldest events are dropped
+            (and counted in :attr:`n_dropped`) once it is exceeded.
+            ``None`` means unbounded — only sensible for short diagnostic
+            runs.
     """
 
     def __init__(self, max_events: int | None = DEFAULT_MAX_EVENTS) -> None:
@@ -58,6 +65,8 @@ class DecisionLedger:
         #: Events evicted by the capacity bound.
         self.n_dropped = 0
         self._window: int | None = None
+        #: The open sample block TMerge appends its iterations to.
+        self.samples = SampleBlock()
 
     # ------------------------------------------------------------------
     # Recording
@@ -79,7 +88,9 @@ class DecisionLedger:
     def record(
         self, kind: str, *, tau: int | None = None, **data: object
     ) -> DecisionEvent:
-        """Append one event (stamped with the current window context)."""
+        """Append one event (stamped with the current window context),
+        after closing the open sample block."""
+        self.close_samples()
         event = DecisionEvent(
             seq=self.n_recorded,
             kind=kind,
@@ -89,6 +100,21 @@ class DecisionLedger:
         )
         self._append(event)
         return event
+
+    def close_samples(self) -> None:
+        """Record the open sample block's rows as one ``sample`` event
+        (a no-op when it holds none)."""
+        block = self.samples
+        if len(block):
+            event = DecisionEvent(
+                seq=self.n_recorded,
+                kind=EVENT_SAMPLE,
+                window=self._window,
+                tau=block.last_tau,
+                data=block.data(),
+            )
+            block.clear()
+            self._append(event)
 
     def _append(self, event: DecisionEvent) -> None:
         self._events.append(event)
@@ -109,6 +135,7 @@ class DecisionLedger:
         window-index order, so the merged log is worker-count
         independent.
         """
+        self.close_samples()
         for payload in payloads:
             event = DecisionEvent.from_dict(payload)
             event.seq = self.n_recorded
@@ -166,7 +193,9 @@ class DecisionLedger:
         }
 
     def state_dict(self) -> dict:
-        """Full restorable state (for checkpoint payloads)."""
+        """Full restorable state (for checkpoint payloads); closes the
+        open sample block first."""
+        self.close_samples()
         return {**self.header(), "events": self.to_dicts()}
 
     def load_state_dict(self, state: dict) -> None:
@@ -175,7 +204,9 @@ class DecisionLedger:
         Replaces the ledger's contents wholesale — a resumed run's
         re-recorded pre-checkpoint events are overwritten by the
         snapshot, which is what makes kill+resume ledgers bit-exact.
+        The open sample block is dropped with the rest.
         """
+        self.samples.clear()
         max_events = state["max_events"]
         self.max_events = None if max_events is None else int(max_events)
         self._events = deque(

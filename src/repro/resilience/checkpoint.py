@@ -13,7 +13,8 @@ to JSON files) and always round-trips them through ``json`` so resuming
 in-process behaves exactly like resuming after a process restart.  Next
 to each snapshot it keeps an append-only *journal* of JSON records, so
 state that only grows (the decision ledger) is written once per record
-instead of once per snapshot.
+instead of once per snapshot.  Both are written as compact JSON (no
+spaces after separators).
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ class CheckpointStore:
 
     def save(self, key, state: dict) -> None:
         """Persist ``state`` under ``key``, replacing any prior snapshot."""
-        payload = json.dumps(state, sort_keys=True)
+        payload = json.dumps(state, sort_keys=True, separators=(",", ":"))
         if contracts.ENABLED:
             contracts.check_checkpoint_roundtrip(
                 state, json.loads(payload), where="CheckpointStore.save"
@@ -191,7 +192,10 @@ class CheckpointStore:
         journal = self._journal_of(encoded)
         if not records:
             return journal.length
-        lines = [json.dumps(record, sort_keys=True) for record in records]
+        lines = [
+            json.dumps(record, sort_keys=True, separators=(",", ":"))
+            for record in records
+        ]
         if contracts.ENABLED:
             for record, line in zip(records, lines):
                 contracts.check_checkpoint_roundtrip(

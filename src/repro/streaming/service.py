@@ -80,10 +80,11 @@ from repro.track.base import Track, Tracker
 #: resume accepts only this one.  The snapshot carries the backpressure
 #: verdict, the decision ledger's header — its counters plus the length
 #: of the store journal holding its events, or ``None`` when the service
-#: records no provenance — and, since v4, the ``window_length`` and the
-#: merger's batch it was written with, so a resume under another
-#: configuration is refused instead of emitting shifted windows.
-CHECKPOINT_VERSION = 4
+#: records no provenance — and the ``window_length`` and the merger's
+#: batch it was written with, so a resume under another configuration is
+#: refused instead of emitting shifted windows.  v5 journals TMerge
+#: iterations as columnar ``sample`` blocks, one record per block.
+CHECKPOINT_VERSION = 5
 
 
 @dataclass
@@ -664,9 +665,10 @@ class StreamingIngestionService:
         """Merge and emit every ready window, in index order."""
         while self.ready:
             batch = list(self.ready)
-            outcomes = self._merge_batch(batch)
+            window_pairs, outcomes = self._merge_batch(batch)
             for entry in batch:
-                self._emit(entry, outcomes.get(entry["index"]))
+                index = entry["index"]
+                self._emit(entry, window_pairs[index], outcomes.get(index))
 
     def _tracks_of(self, index: int) -> list[Track]:
         """``T_index`` in canonical (first_frame, track_id) order."""
@@ -689,19 +691,28 @@ class StreamingIngestionService:
             return self._tracks_of(index - 1)
         return self.prev_tracks
 
-    def _merge_batch(self, batch: list[dict]) -> dict[int, WindowOutcome]:
-        """Run every non-degraded, non-empty ready window through the
-        engine (fanning out when several are ready at once)."""
-        windows = []
-        for entry in batch:
-            index = entry["index"]
-            if entry["degraded"]:
-                continue
-            pairs = build_track_pairs(
-                self._tracks_of(index), self._previous_tracks_of(index)
+    def _merge_batch(
+        self, batch: list[dict]
+    ) -> tuple[dict[int, list[TrackPair]], dict[int, WindowOutcome]]:
+        """Build every ready window's pairs once, and run the
+        non-degraded, non-empty ones through the engine (fanning out when
+        several are ready at once).
+
+        Returns each window's pairs and the engine's outcomes, by index;
+        the outcomes' candidates are members of those pairs.
+        """
+        window_pairs = {
+            entry["index"]: build_track_pairs(
+                self._tracks_of(entry["index"]),
+                self._previous_tracks_of(entry["index"]),
             )
-            if pairs:
-                windows.append((index, pairs))
+            for entry in batch
+        }
+        windows = [
+            (entry["index"], window_pairs[entry["index"]])
+            for entry in batch
+            if not entry["degraded"] and window_pairs[entry["index"]]
+        ]
         tasks = build_window_tasks(
             windows,
             world=self._world,
@@ -713,14 +724,19 @@ class StreamingIngestionService:
             with_ledger=self._telemetry.ledger is not None,
         )
         outcomes = self._executor.run(tasks)
-        return {outcome.index: outcome for outcome in outcomes}
+        return window_pairs, {outcome.index: outcome for outcome in outcomes}
 
-    def _emit(self, entry: dict, outcome: WindowOutcome | None) -> None:
-        """Finalize one window: result, telemetry, eviction, checkpoint."""
+    def _emit(
+        self,
+        entry: dict,
+        pairs: list[TrackPair],
+        outcome: WindowOutcome | None,
+    ) -> None:
+        """Finalize one window (its ``pairs`` built by
+        :meth:`_merge_batch`): result, telemetry, eviction, checkpoint."""
         index = entry["index"]
         tracks = self._tracks_of(index)
         prev = self._previous_tracks_of(index)
-        pairs = build_track_pairs(tracks, prev)
         telemetry = self._telemetry
         if outcome is not None:
             result = outcome.result

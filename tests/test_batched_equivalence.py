@@ -47,7 +47,7 @@ from helpers import (
 from repro.core.thompson import GROUP_MIN_LIVE, PosteriorClassIndex
 from repro.core.tmerge import CHECKPOINT_VERSION, TMerge
 from repro.faults import fault_profile
-from repro.provenance import EVENT_SAMPLE, DecisionLedger
+from repro.provenance import EVENT_SAMPLE, DecisionLedger, sample_rows
 from repro.reid import CostModel, ReidScorer
 from repro.resilience import (
     BreakerPolicy,
@@ -434,9 +434,11 @@ class TestGroupedDraw:
         samples = [e for e in ledger if e.kind == EVENT_SAMPLE]
         assert samples and grouped_selections
         take = 1 if ENV_BATCH == 1 else ENV_BATCH
-        for event in samples:
-            assert len(event.data["arms"]) == len(event.data["theta"])
-            assert len(event.data["arms"]) == take
+        rows = [row for event in samples for row in sample_rows(event.data)]
+        assert [row.tau for row in rows] == list(range(1, len(rows) + 1))
+        for row in rows:
+            assert len(row.arms) == len(row.theta)
+            assert len(row.arms) == take
 
     @pytest.mark.parametrize(
         "name, batch_size", (("scalar", None), ("batched_b8", 8))

@@ -9,7 +9,7 @@ On top of transparency, the ledger itself must be deterministic: the
 merged log is worker-count invariant, and a streaming service killed at
 a window boundary and resumed from its checkpoint reconstructs the
 bit-identical event log an uninterrupted run would have written.
-Checkpoint-schema compatibility rules (TMerge v3, streaming v3) are
+Checkpoint-schema compatibility rules (TMerge v5, streaming v5) are
 enforced here too, along with the streaming checkpoint's ledger journal:
 each checkpoint appends only the events recorded since the previous
 one, and a bounded ledger's journal stays bounded.
@@ -283,10 +283,21 @@ class TestScenarioTransparency:
         assert len(ledger) > 0
 
 
-def _service(store, *, ledger=None, seed=1, profile=None):
+def _service(store, *, ledger=None, seed=1, profile=None,
+             checkpoint_interval=None):
+    """The streaming service under test; ``checkpoint_interval`` gives
+    every window's TMerge its own mid-window snapshots, each of which
+    closes the open ``sample`` block."""
+    merger = TMerge(
+        k=0.1, tau_max=100, batch_size=10, seed=3,
+        checkpoint_interval=checkpoint_interval,
+        checkpoint_store=(
+            None if checkpoint_interval is None else CheckpointStore()
+        ),
+    )
     return StreamingIngestionService(
         TracktorTracker(),
-        TMerge(k=0.1, tau_max=100, batch_size=10, seed=3),
+        merger,
         window_length=100,
         allowed_lateness=4,
         max_open_windows=8,
@@ -336,6 +347,40 @@ class TestStreamingLedger:
         assert [e.to_dict() for e in resumed_ledger] == [
             e.to_dict() for e in reference_ledger
         ]
+
+    def test_kill_resume_with_mid_window_blocks(self, chaos_world):
+        """With TMerge snapshots inside every window, each snapshot closes
+        a ``sample`` block; a service killed and resumed still rebuilds
+        the uninterrupted run's log, block for block."""
+        source = _source(chaos_world)
+        reference_ledger = DecisionLedger()
+        reference = _service(
+            CheckpointStore(), ledger=reference_ledger,
+            checkpoint_interval=7,
+        ).run(source)
+        blocks = [e for e in reference_ledger if e.kind == "sample"]
+        assert len(blocks) > len(reference.emissions)
+        for block in blocks:
+            # A block closed by a snapshot ends on the snapshot's τ.
+            assert block.tau == block.data["tau"][-1]
+            assert block.data["tau"] == list(
+                range(block.data["tau"][0], block.tau + 1)
+            )
+
+        store = CheckpointStore()
+        first = _service(
+            store, ledger=DecisionLedger(), checkpoint_interval=7
+        ).run(source, stop_after_windows=2)
+        assert first.stopped
+        resumed_ledger = DecisionLedger()
+        resumed = _service(
+            store, ledger=resumed_ledger, checkpoint_interval=7
+        ).run(source)
+        assert (
+            first.fingerprints() + resumed.fingerprints()
+            == reference.fingerprints()
+        )
+        assert resumed_ledger.to_dicts() == reference_ledger.to_dicts()
 
     def test_emissions_transparent(self, chaos_world):
         plain = _service(CheckpointStore()).run(
@@ -387,7 +432,7 @@ class TestStreamingLedger:
         ledger = DecisionLedger()
         _service(store, ledger=ledger).run(source, stop_after_windows=2)
         payload = store.load(["stream", "stream"])
-        assert payload["version"] == STREAM_CHECKPOINT_VERSION == 4
+        assert payload["version"] == STREAM_CHECKPOINT_VERSION == 5
         header = payload["ledger"]
         assert header == {
             "max_events": ledger.max_events,
@@ -459,11 +504,14 @@ class TestStreamingLedger:
     def test_bounded_ledger_kill_resume(self, chaos_world, tmp_path):
         """A capped ledger resumes with identical counters and events
         after a crash at every window, and its on-disk journal stays
-        within the compaction bound."""
+        within the compaction bound.  TMerge snapshots every iteration,
+        so each iteration is its own ``sample`` block and the run records
+        enough events to overflow the cap and compact the journal."""
         source = _source(chaos_world)
         reference_ledger = DecisionLedger(max_events=50)
         reference = _service(
-            CheckpointStore(), ledger=reference_ledger
+            CheckpointStore(), ledger=reference_ledger,
+            checkpoint_interval=1,
         ).run(source)
         assert reference_ledger.n_dropped > 0
 
@@ -472,7 +520,8 @@ class TestStreamingLedger:
         for _ in range(len(reference.emissions) + 1):
             ledger = DecisionLedger(max_events=50)
             result = _service(
-                CheckpointStore(path=str(ckpt_dir)), ledger=ledger
+                CheckpointStore(path=str(ckpt_dir)), ledger=ledger,
+                checkpoint_interval=1,
             ).run(source, stop_after_windows=1)
             fingerprints.extend(result.fingerprints())
             if not result.stopped:
@@ -490,7 +539,7 @@ class TestStreamingLedger:
 
 
 class TestTMergeCheckpointCompat:
-    """TMerge v3 schema: ledger state rides along; a snapshot without
+    """TMerge v5 schema: ledger state rides along; a snapshot without
     it refuses to resume into a ledger-attached run.
 
     These tests use a *noiseless* scorer: TMerge checkpoints never

@@ -404,6 +404,24 @@ class TestStreamingService:
         assert serial.fingerprints() == fanned.fingerprints()
         assert serial.cost.state_dict() == fanned.cost.state_dict()
 
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_candidates_are_members_of_the_emitted_pairs(
+        self, chaos_world, workers
+    ):
+        """A window's pairs are built once: the emitted candidates are
+        the very objects the emission's ``pairs`` holds."""
+        result = _service(workers=workers).run(
+            SyntheticFeedSource(chaos_world)
+        )
+        candidates = [
+            (emission, candidate)
+            for emission in result.emissions
+            for candidate in emission.result.candidates
+        ]
+        assert candidates
+        for emission, candidate in candidates:
+            assert any(candidate is pair for pair in emission.pairs)
+
     def test_checkpoint_discarded_on_completion(self, stream_world):
         store = CheckpointStore()
         source = SyntheticFeedSource(stream_world)
