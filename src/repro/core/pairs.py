@@ -138,6 +138,12 @@ class TrackPair:
             drawn.append(self.sample_bbox_pair(rng))
         return drawn
 
+    def copy(self) -> TrackPair:
+        """The same pair with its own copy of the sampled set, as a
+        pickled window task carries it (paired tracks never change, so
+        the copy shares them)."""
+        return TrackPair(self.track_a, self.track_b, set(self._sampled))
+
     def reset_sampling(self) -> None:
         """Forget sampling history (used when re-running algorithms on the
         same pair objects)."""

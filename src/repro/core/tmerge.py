@@ -29,6 +29,10 @@ scalar ``rng.random()`` calls (the draw-order contract tested in
 ``tests/test_batched_equivalence.py``).  ``batch_size=1`` (like
 ``batch_size=None``) degenerates *exactly* to the scalar algorithm:
 arg-min selection, unbatched scorer calls, unbatched cost accounting.
+A scalar iteration costs its RNG calls plus scalar arithmetic on the
+observed arm; in both paths the live-arm index is rebuilt only when an
+arm leaves the live set, and the draw and iteration counters are
+counted once per run (DESIGN.md §9.3).
 """
 
 from __future__ import annotations
@@ -288,105 +292,189 @@ class TMerge:
                     ),
                 )
 
+        batch = self.effective_batch
+        ulb_interval = self.ulb_interval
+        checkpoint_interval = (
+            self.checkpoint_interval
+            if self.checkpoint_store is not None
+            else None
+        )
         degraded = False
+        # One posterior draw per live arm per iteration, batched or not —
+        # the figure the bench gate watches alongside reid.invocations.
+        draws = 0
         # Derived from (S, F, eligible) alone, so a resume rebuilds it.
         classes: PosteriorClassIndex | None = None
-        for tau in range(tau0 + 1, self.tau_max + 1):
-            live = np.nonzero(eligible)[0]
-            if live.size == 0:
-                break
-            if live.size < GROUP_MIN_LIVE:
-                classes = None
-            elif classes is None:
-                classes = PosteriorClassIndex(successes, failures, eligible)
+        # Rebuilt only when an arm leaves the live set.
+        live = np.nonzero(eligible)[0]
+        try:
+            for tau in range(tau0 + 1, self.tau_max + 1):
+                if live.size == 0:
+                    break
+                if live.size < GROUP_MIN_LIVE:
+                    classes = None
+                elif classes is None:
+                    classes = PosteriorClassIndex(successes, failures, eligible)
+                # The live set this iteration draws from, for the contract
+                # checks after an exhausted or retired arm rebuilds ``live``.
+                drawn = live
 
-            selected, theta_sel = self._select_arms(
-                live, successes, failures, rng, classes
-            )
-            # One posterior draw per live arm per iteration, batched or
-            # not — this is the figure the bench gate watches alongside
-            # reid.invocations.
-            telemetry.count("tmerge.thompson_draws", live.size)
-            try:
-                owners, d_norms = self._evaluate(pairs, selected, scorer, rng)
-            except REID_UNAVAILABLE:
-                degraded = True
+                if batch is None:
+                    # One arm: the update is scalar arithmetic on its
+                    # entries, and rng.random() draws the same double as
+                    # rng.random(1) (DESIGN.md §9.2).
+                    if classes is None:
+                        theta = rng.beta(successes[live], failures[live])
+                        best = theta.argmin()
+                        arm = int(live[best])
+                        theta_arm = theta[best]
+                    else:
+                        chosen, theta = classes.select(
+                            successes, failures, rng, 1
+                        )
+                        arm = int(chosen[0])
+                        theta_arm = theta[0]
+                    selected, theta_sel = (arm,), (theta_arm,)
+                    draws += live.size
+                    pair = pairs[arm]
+                    try:
+                        ia, ib = pair.sample_bbox_pair(rng)
+                        d_norm = scorer.normalized_distance(
+                            pair.track_a, ia, pair.track_b, ib
+                        )
+                    except REID_UNAVAILABLE:
+                        degraded = True
+                        break
+                    if contracts.ENABLED:
+                        contracts.check_normalized_distance(
+                            d_norm, where="TMerge.run"
+                        )
+                    if regret is not None:
+                        regret.record(float(d_norm))
+                    sums[arm] += d_norm
+                    counts[arm] += 1
+                    if classes is not None:
+                        classes.discard(selected, successes, failures)
+                    hit = rng.random() < d_norm
+                    if hit:
+                        successes[arm] += 1.0
+                    else:
+                        failures[arm] += 1.0
+                    if pair.exhausted:
+                        eligible[arm] = False
+                        live = np.nonzero(eligible)[0]
+                    elif classes is not None:
+                        classes.add(selected, successes, failures)
+                    if samples is not None:
+                        observed = np.array([arm], dtype=np.int64)
+                        samples.add(
+                            tau, observed, np.array([theta_arm]), observed,
+                            np.array([d_norm]), np.array([hit]),
+                        )
+                else:
+                    selected, theta_sel = self._select_batch(
+                        live, successes, failures, rng, classes
+                    )
+                    draws += live.size
+                    try:
+                        observed, d_norms = self._evaluate_batch(
+                            pairs, selected, scorer, rng
+                        )
+                    except REID_UNAVAILABLE:
+                        degraded = True
+                        break
+                    owners = np.asarray(observed, dtype=np.int64)
+                    # Owners are distinct arms (one draw per selected live
+                    # arm), so fancy-index scatter adds are exact; the
+                    # Bernoulli flips come from one rng.random(m) call,
+                    # which consumes the PCG64 stream in the same order as
+                    # m scalar draws.
+                    hits = _NO_HITS
+                    if observed:
+                        if contracts.ENABLED:
+                            contracts.check_normalized_distance(
+                                d_norms, where="TMerge.run"
+                            )
+                        if regret is not None:
+                            regret.record_many(d_norms)
+                        sums[owners] += d_norms
+                        counts[owners] += 1
+                        if classes is not None:
+                            classes.discard(observed, successes, failures)
+                        hits = rng.random(owners.size) < d_norms
+                        successes[owners[hits]] += 1.0
+                        failures[owners[~hits]] += 1.0
+                        spent = [a for a in observed if pairs[a].exhausted]
+                        if spent:
+                            eligible[spent] = False
+                            live = np.nonzero(eligible)[0]
+                        if classes is not None:
+                            classes.add(
+                                [a for a in observed if eligible[a]],
+                                successes,
+                                failures,
+                            )
+                    if samples is not None:
+                        samples.add(
+                            tau, selected, theta_sel, owners, d_norms, hits
+                        )
+
+                scorer.cost.charge_overhead(1)
+                iterations = tau
+
+                if pruner is not None and tau % ulb_interval == 0:
+                    means = np.where(
+                        counts > 0, sums / np.maximum(counts, 1), 0.5
+                    )
+                    accepted, rejected = pruner.update(means, counts, tau)
+                    retired = sorted(
+                        a for a in accepted | rejected if eligible[a]
+                    )
+                    if retired:
+                        eligible[retired] = False
+                        live = np.nonzero(eligible)[0]
+                        if classes is not None:
+                            classes.discard(retired, successes, failures)
+                    if contracts.ENABLED:
+                        contracts.check_ulb_partition(
+                            pruner.accepted, pruner.rejected, n,
+                            where="TMerge.run",
+                        )
+                        contracts.check_class_index(
+                            classes, successes, failures, eligible,
+                            drawn, selected, theta_sel, where="TMerge.ulb",
+                        )
+
+                if (
+                    checkpoint_interval is not None
+                    and tau % checkpoint_interval == 0
+                ):
+                    if contracts.ENABLED:
+                        contracts.check_class_index(
+                            classes, successes, failures, eligible,
+                            drawn, selected, theta_sel,
+                            where="TMerge.checkpoint",
+                        )
+                    self.checkpoint_store.save(
+                        window_key,
+                        self._checkpoint_payload(
+                            tau, iterations, start_seconds, pairs,
+                            successes, failures, sums, counts, eligible,
+                            pruner, regret, rng, scorer, ledger,
+                        ),
+                    )
+            if degraded:
                 telemetry.count("tmerge.degraded_windows")
                 telemetry.record(
                     EVENT_DEGRADE, tau=tau, reason="reid_unavailable"
                 )
-                break
-
-            # Vectorized posterior update.  Owners are distinct arms (one
-            # draw per selected live arm), so fancy-index scatter adds are
-            # exact; the Bernoulli flips come from one rng.random(m) call,
-            # which consumes the PCG64 stream in the same order as m
-            # scalar draws — bit-identical to the historical per-
-            # observation loop.
-            hits = _NO_HITS
-            if owners.size:
-                if contracts.ENABLED:
-                    contracts.check_normalized_distance(
-                        d_norms, where="TMerge.run"
-                    )
-                if regret is not None:
-                    regret.record_many(d_norms)
-                sums[owners] += d_norms
-                counts[owners] += 1
-                if classes is not None:
-                    classes.discard(owners, successes, failures)
-                hits = rng.random(owners.size) < d_norms
-                successes[owners[hits]] += 1.0
-                failures[owners[~hits]] += 1.0
-                exhausted = np.fromiter(
-                    (pairs[int(arm)].exhausted for arm in owners),
-                    dtype=bool,
-                    count=owners.size,
-                )
-                eligible[owners[exhausted]] = False
-                if classes is not None:
-                    classes.add(owners[~exhausted], successes, failures)
-            if samples is not None:
-                samples.add(tau, selected, theta_sel, owners, d_norms, hits)
-
-            scorer.cost.charge_overhead(1)
-            iterations = tau
-            telemetry.count("tmerge.iterations")
-
-            if pruner is not None and tau % self.ulb_interval == 0:
-                means = np.where(counts > 0, sums / np.maximum(counts, 1), 0.5)
-                accepted, rejected = pruner.update(means, counts, tau)
-                retired = sorted(a for a in accepted | rejected if eligible[a])
-                eligible[retired] = False
-                if classes is not None:
-                    classes.discard(retired, successes, failures)
-                if contracts.ENABLED:
-                    contracts.check_ulb_partition(
-                        pruner.accepted, pruner.rejected, n, where="TMerge.run"
-                    )
-                    contracts.check_class_index(
-                        classes, successes, failures, eligible,
-                        live, selected, theta_sel, where="TMerge.ulb",
-                    )
-
-            if (
-                self.checkpoint_store is not None
-                and self.checkpoint_interval is not None
-                and tau % self.checkpoint_interval == 0
-            ):
-                if contracts.ENABLED:
-                    contracts.check_class_index(
-                        classes, successes, failures, eligible,
-                        live, selected, theta_sel, where="TMerge.checkpoint",
-                    )
-                self.checkpoint_store.save(
-                    window_key,
-                    self._checkpoint_payload(
-                        tau, iterations, start_seconds, pairs, successes,
-                        failures, sums, counts, eligible, pruner, regret,
-                        rng, scorer, ledger,
-                    ),
-                )
+        finally:
+            # Counted once per run, so a crashed or degraded attempt's
+            # draws and iterations count too.
+            if draws:
+                telemetry.count("tmerge.thompson_draws", draws)
+            if iterations > tau0:
+                telemetry.count("tmerge.iterations", iterations - tau0)
 
         if self.checkpoint_store is not None:
             self.checkpoint_store.discard(window_key)
@@ -480,7 +568,7 @@ class TMerge:
             )
 
     # ------------------------------------------------------------------
-    def _select_arms(
+    def _select_batch(
         self,
         live: np.ndarray,
         successes: np.ndarray,
@@ -488,63 +576,45 @@ class TMerge:
         rng: np.random.Generator,
         classes: PosteriorClassIndex | None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Thompson-sample the live arms; return the chosen arms + draws.
+        """Thompson-sample the live arms; return the B chosen arms + draws.
 
         Without a class index (windows below
         :data:`~repro.core.thompson.GROUP_MIN_LIVE` live arms) one
-        vectorized Beta draw covers every live arm: the scalar path takes
-        the arg-min, the batched path the B smallest θ via argpartition,
-        ordered by θ — the stream-exact historical draw.  With one, the
-        index draws per posterior class (exact in distribution, DESIGN.md
-        §6.2).  Returns ``(arm_indices, theta_values)`` as parallel
-        arrays ordered by θ — the θ values are a pure read-out of draws
-        already made (the ledger records them without consuming any extra
-        RNG).
+        vectorized Beta draw covers every live arm and the B smallest θ
+        are taken via argpartition, ordered by θ — the stream-exact
+        historical draw.  With one, the index draws per posterior class
+        (exact in distribution, DESIGN.md §6.2).  Returns
+        ``(arm_indices, theta_values)`` as parallel arrays ordered by θ —
+        the θ values are a pure read-out of draws already made (the
+        ledger records them without consuming any extra RNG).
         """
-        batch = self.effective_batch
-        take = 1 if batch is None else min(batch, live.size)
+        take = min(self.effective_batch, live.size)
         if classes is not None:
             return classes.select(successes, failures, rng, take)
         theta = rng.beta(successes[live], failures[live])
-        if batch is None:
-            best = int(np.argmin(theta))
-            return live[best].reshape(1), theta[best].reshape(1)
         order = np.argpartition(theta, take - 1)[:take]
         order = order[np.argsort(theta[order])]
         return live[order], theta[order]
 
-    def _evaluate(
+    def _evaluate_batch(
         self,
         pairs: list[TrackPair],
         selected: np.ndarray,
         scorer: ReidScorer,
         rng: np.random.Generator,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Draw one BBox pair per selected arm and compute d̃ for each.
+    ) -> tuple[list[int], np.ndarray]:
+        """Draw one BBox pair per selected arm and score them in one call.
 
-        Returns ``(owners, d_norms)`` as parallel arrays feeding the
-        vectorized posterior update.  Goes through the scorer's
-        normalized entry points so the non-finite defense (and, when
-        wrapped, the resilience layer) covers every observation.  BBox
-        sampling stays a per-arm loop: rejection sampling is data-
+        Returns ``(owners, d_norms)``: the observed arms in selection
+        order (exhausted arms are skipped) and their d̃.  Goes through the
+        scorer's normalized entry point so the non-finite defense (and,
+        when wrapped, the resilience layer) covers every observation.
+        BBox sampling stays a per-arm loop: rejection sampling is data-
         dependent, and the loop preserves the historical RNG draw order.
         """
-        if self.effective_batch is None:
-            arm = int(selected[0])
-            pair = pairs[arm]
-            ia, ib = pair.sample_bbox_pair(rng)
-            d_norm = scorer.normalized_distance(
-                pair.track_a, ia, pair.track_b, ib
-            )
-            return (
-                np.array([arm], dtype=np.int64),
-                np.array([d_norm], dtype=np.float64),
-            )
-
         requests = []
         owners = []
-        for arm in selected:
-            arm = int(arm)
+        for arm in selected.tolist():
             pair = pairs[arm]
             if pair.exhausted:
                 continue
@@ -552,17 +622,11 @@ class TMerge:
             requests.append((pair.track_a, ia, pair.track_b, ib))
             owners.append(arm)
         if not requests:
-            return (
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.float64),
-            )
+            return owners, np.empty(0, dtype=np.float64)
         d_norms = scorer.normalized_distances_batched(
             requests, batch_size=self.batch_size
         )
-        return (
-            np.asarray(owners, dtype=np.int64),
-            np.asarray(d_norms, dtype=np.float64),
-        )
+        return owners, np.asarray(d_norms, dtype=np.float64)
 
     def _finalize(
         self,

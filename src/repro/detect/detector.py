@@ -152,13 +152,13 @@ class NoisyDetector:
             )
             if noisy is None:
                 continue
-            confidence = float(
-                np.clip(
+            confidence = min(
+                max(
                     0.6 + 0.4 * state.visibility
                     + rng.normal(0.0, cfg.confidence_noise),
                     0.05,
-                    1.0,
-                )
+                ),
+                1.0,
             )
             detections.append(
                 Detection(noisy, confidence, state.object_id, state.visibility)
@@ -178,7 +178,7 @@ class NoisyDetector:
         for _ in range(count):
             cx = float(rng.uniform(0, width))
             cy = float(rng.uniform(0.3 * height, height))
-            jitter = float(np.clip(1.0 + rng.normal(0.0, 0.3), 0.4, 2.0))
+            jitter = min(max(1.0 + rng.normal(0.0, 0.3), 0.4), 2.0)
             box = clip_bbox(
                 BBox.from_center(cx, cy, cw * jitter, ch * jitter),
                 width,
@@ -186,6 +186,6 @@ class NoisyDetector:
             )
             if box is None:
                 continue
-            confidence = float(np.clip(rng.normal(0.35, 0.1), 0.05, 0.8))
+            confidence = min(max(rng.normal(0.35, 0.1), 0.05), 0.8)
             clutter.append(Detection(box, confidence, None, 1.0))
         return clutter

@@ -299,12 +299,28 @@ def _merge_window(
     crasher: WindowCrashInjector | None,
     telemetry: Telemetry,
 ) -> MergeResult:
-    """Merge one window inside its ``window`` span, in either regime."""
+    """Merge one window inside its ``window`` span, in either regime.
+
+    The merger draws on copies of ``pairs`` carrying their sampled sets,
+    as a pickled task does, and the candidates are bound back to
+    ``pairs`` by key: the caller's pairs end the run as they started,
+    whatever the regime or worker count.
+    """
     with telemetry.span("window", window_id=index, n_pairs=len(pairs)):
         if pairs:
             result = run_resilient_window(
-                merger, index, pairs, scorer, cost, resilience, crasher
+                merger,
+                index,
+                [pair.copy() for pair in pairs],
+                scorer,
+                cost,
+                resilience,
+                crasher,
             )
+            by_key = {pair.key: pair for pair in pairs}
+            result.candidates = [
+                by_key[pair.key] for pair in result.candidates
+            ]
             if contracts.ENABLED:
                 contracts.check_top_k_budget(
                     len(result.candidates), len(pairs), where="run_windows"

@@ -142,7 +142,8 @@ class SimReIDModel:
         if self.params.pose_scale == 0 or detection.source_id is None:
             return np.zeros(self.params.dim)
         basis = self._pose_basis(detection.source_id)
-        phase = self._rng.uniform(0.0, 2.0 * np.pi)
+        # uniform(0, 2π) is computed as 0 + 2π·next_double: the same value.
+        phase = 2.0 * np.pi * self._rng.random()
         return self.params.pose_scale * (
             np.cos(phase) * basis[0] + np.sin(phase) * basis[1]
         )

@@ -9,13 +9,25 @@ output changed; never refresh one to make a rewrite pass.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
-from helpers import make_detection, make_track, tiny_world
+from helpers import (
+    large_window,
+    make_detection,
+    make_track,
+    stub_scorer,
+    tiny_world,
+)
 
+from repro.core.pairs import TrackPair
+from repro.core.pipeline import IngestionPipeline
+from repro.core.tmerge import TMerge
 from repro.detect import NoisyDetector
+from repro.faults import fault_profile
+from repro.provenance import DecisionLedger
 from repro.reid import FeatureCache, ReidScorer, SimReIDModel
 from repro.reid.cost import CostModel
 from repro.synth import simulate_world
@@ -195,3 +207,203 @@ def batched_session():
 def test_distances_batched_bounded_cache():
     session = batched_session()
     assert session == BATCHED_GOLDEN
+
+
+# ----------------------------------------------------------------------
+# TMerge iterations
+# ----------------------------------------------------------------------
+def json_fingerprint(value) -> str:
+    """Digest of a pure-JSON value (keys sorted)."""
+    payload = json.dumps(value, sort_keys=True).encode("utf-8")
+    return hashlib.sha256(payload).hexdigest()[:16]
+
+
+#: Windows where arms exhaust (tracks of 2 or 3 boxes give 4 or 9 BBox
+#: pairs) and a tight ULB radius retires arms; the grouped case starts
+#: above GROUP_MIN_LIVE and ends below it.
+TMERGE_CASES = {
+    # name: (large_window arguments, TMerge arguments)
+    "scalar": (
+        dict(n_pairs=120, track_len=3),
+        dict(k=0.1, tau_max=900, seed=4, ulb_scale=0.05, ulb_interval=5),
+    ),
+    "b8": (
+        dict(n_pairs=120, track_len=3),
+        dict(
+            k=0.1, tau_max=150, seed=4, batch_size=8, ulb_scale=0.05,
+            ulb_interval=5,
+        ),
+    ),
+    "scalar_grouped": (
+        dict(n_pairs=1100, track_len=2),
+        dict(k=0.05, tau_max=1200, seed=4, ulb_scale=0.05, ulb_interval=5),
+    ),
+}
+
+TMERGE_GOLDEN = {
+    "scalar": {
+        "candidates": (12, "a18e7ce0c66d0e96"),
+        "scores": "c51a883e8d959ca4",
+        "iterations": 576,
+        "simulated_seconds": "0.2595840000000082",
+        "rng": "b5b6872c2e997581",
+        "ledger": "6cf82b630c710ea6",
+        "exhausted": 46,
+        "counters": {
+            "tmerge.iterations": 576.0,
+            "tmerge.thompson_draws": 36699.0,
+            "ulb.accepted": 2.0,
+            "ulb.passes": 115.0,
+            "ulb.rejected": 76.0,
+        },
+    },
+    "b8": {
+        "candidates": (12, "57f6da67e67b482c"),
+        "scores": "066c4dab97bcbea3",
+        "iterations": 70,
+        "simulated_seconds": "0.07062999999999961",
+        "rng": "befb78c6b4b7f53f",
+        "ledger": "6adf36f05e139655",
+        "exhausted": 42,
+        "counters": {
+            "tmerge.iterations": 70.0,
+            "tmerge.thompson_draws": 4027.0,
+            "ulb.accepted": 6.0,
+            "ulb.passes": 14.0,
+            "ulb.rejected": 79.0,
+        },
+    },
+    "scalar_grouped": {
+        "candidates": (55, "1b2d3f2df40805e9"),
+        "scores": "f9722b8ab4e386c9",
+        "iterations": 1200,
+        "simulated_seconds": "0.5207999999999908",
+        "rng": "fd8638f45296298a",
+        "ledger": "ba5d755ae871b8e8",
+        "exhausted": 28,
+        "counters": {
+            "tmerge.iterations": 1200.0,
+            "tmerge.thompson_draws": 1205942.0,
+            "ulb.passes": 240.0,
+            "ulb.rejected": 318.0,
+        },
+    },
+}
+
+
+def tmerge_session(name, monkeypatch):
+    """One ledger-on TMerge run; the generator it drew from is caught
+    through ``sample_bbox_pair``, so its final state is pinned too."""
+    window, config = TMERGE_CASES[name]
+    pairs = large_window(**window)
+    scorer = stub_scorer(noise=0.05, seed=9)
+    ledger = DecisionLedger()
+    scorer.telemetry = Telemetry(ledger=ledger)
+    generators = []
+    sample = TrackPair.sample_bbox_pair
+
+    def spy(pair, rng):
+        generators.append(rng)
+        return sample(pair, rng)
+
+    monkeypatch.setattr(TrackPair, "sample_bbox_pair", spy)
+    result = TMerge(**config).run(pairs, scorer)
+    assert len({id(rng) for rng in generators}) == 1
+    counters = scorer.telemetry.metrics.counters_snapshot()
+    return {
+        "candidates": (
+            len(result.candidates),
+            json_fingerprint([list(key) for key in result.candidate_keys]),
+        ),
+        "scores": json_fingerprint(
+            sorted([list(key), v] for key, v in result.scores.items())
+        ),
+        "iterations": result.iterations,
+        "simulated_seconds": repr(result.simulated_seconds),
+        "rng": json_fingerprint(generators[0].bit_generator.state),
+        "ledger": json_fingerprint([e.to_dict() for e in ledger.events]),
+        "exhausted": sum(pair.exhausted for pair in pairs),
+        "counters": {
+            key: value
+            for key, value in counters.items()
+            if key.startswith(("tmerge.", "ulb."))
+        },
+    }
+
+
+@pytest.mark.parametrize("name", sorted(TMERGE_CASES))
+def test_tmerge_iteration_fingerprint(name, monkeypatch):
+    assert tmerge_session(name, monkeypatch) == TMERGE_GOLDEN[name]
+
+
+#: ``tmerge.*`` counter totals and a digest of ``window_metrics`` for a
+#: window whose ReID is down (every window degrades, or falls back
+#: before its first iteration) and windows whose worker crashes once and
+#: are retried from scratch, in both regimes (workers None and 1).
+PIPELINE_GOLDEN = {
+    ("reid-offline", None, None): (
+        {"tmerge.degraded_windows": 3.0, "tmerge.thompson_draws": 12.0},
+        "8525682113c6907b",
+    ),
+    ("reid-offline", None, 1): (
+        {"tmerge.degraded_windows": 3.0, "tmerge.thompson_draws": 12.0},
+        "750cb8c079b9565d",
+    ),
+    ("reid-offline", 8, None): (
+        {"tmerge.degraded_windows": 3.0, "tmerge.thompson_draws": 12.0},
+        "5dc9f3fa66c1a92a",
+    ),
+    ("reid-offline", 8, 1): (
+        {"tmerge.degraded_windows": 3.0, "tmerge.thompson_draws": 12.0},
+        "716fafb471ce10a1",
+    ),
+    ("window-crash", None, None): (
+        {"tmerge.iterations": 215.0, "tmerge.thompson_draws": 1685.0},
+        "8c9de82a827e8574",
+    ),
+    ("window-crash", None, 1): (
+        {"tmerge.iterations": 150.0, "tmerge.thompson_draws": 1007.0},
+        "e45539583b1fc6ca",
+    ),
+    ("window-crash", 8, None): (
+        {"tmerge.iterations": 215.0, "tmerge.thompson_draws": 1604.0},
+        "64055c8638f5d9a7",
+    ),
+    ("window-crash", 8, 1): (
+        {"tmerge.iterations": 150.0, "tmerge.thompson_draws": 980.0},
+        "783473d55250d321",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def chaos_tracks(chaos_world):
+    detections = NoisyDetector().detect_video(chaos_world, seed=2)
+    return detections, TracktorTracker().run(detections)
+
+
+@pytest.mark.parametrize(
+    "case",
+    sorted(PIPELINE_GOLDEN, key=repr),
+    ids=lambda case: f"{case[0]}-B{case[1] or 1}-workers{case[2]}",
+)
+def test_tmerge_counters_under_faults(case, chaos_world, chaos_tracks):
+    profile, batch_size, workers = case
+    telemetry = Telemetry()
+    with IngestionPipeline(
+        tracker=TracktorTracker(),
+        merger=TMerge(k=0.1, tau_max=100, batch_size=batch_size, seed=3),
+        window_length=100,
+        fault_profile=fault_profile(profile),
+        telemetry=telemetry,
+        workers=workers,
+    ) as pipeline:
+        result = pipeline.run_on_tracks(chaos_world, *chaos_tracks)
+    totals = {
+        key: value
+        for key, value in telemetry.metrics.counters_snapshot().items()
+        if key.startswith("tmerge.")
+    }
+    assert (
+        totals, json_fingerprint(result.window_metrics)
+    ) == PIPELINE_GOLDEN[case]

@@ -192,6 +192,35 @@ def test_workers_none_keeps_legacy_path(
     assert len(built) > 1
 
 
+@pytest.mark.parametrize("batch_size", (None, 8))
+def test_caller_pairs_unsampled_at_every_worker_count(
+    make_pipeline, chaos_world, tracked, batch_size
+):
+    """Every regime merges on copies of the window's pairs, as a pickled
+    task does: the caller's pairs end unsampled at workers None, 1 and 2,
+    and the candidates are the caller's own pairs, the same at each."""
+    from repro.core.tmerge import TMerge
+
+    detections, tracks = tracked
+    selected = {}
+    for workers in (None, 1, 2):
+        with make_pipeline(
+            merger=TMerge(k=0.1, tau_max=100, batch_size=batch_size, seed=3),
+            window_length=100,
+            workers=workers,
+        ) as pipeline:
+            result = pipeline.run_on_tracks(chaos_world, detections, tracks)
+        assert sum(
+            pair.n_sampled for pairs in result.window_pairs for pair in pairs
+        ) == 0
+        for window, pairs in zip(result.window_results, result.window_pairs):
+            ids = {id(pair) for pair in pairs}
+            assert all(id(pair) in ids for pair in window.candidates)
+        selected[workers] = [r.candidate_keys for r in result.window_results]
+    assert any(selected[None])
+    assert selected[None] == selected[1] == selected[2]
+
+
 def test_sweeps_workers_matches_serial(chaos_world):
     """``evaluate_merger(workers=...)`` is exact across worker counts."""
     from repro.core.baseline import BaselineMerger

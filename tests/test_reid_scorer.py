@@ -198,6 +198,20 @@ class TestScalarIdentities:
         inf = np.array([np.inf, 0.0])
         assert feature_distance(inf, np.zeros(2)) == np.inf
 
+    def test_pose_phase_is_numpy_uniform(self):
+        """``2π · rng.random()`` is ``rng.uniform(0, 2π)``: numpy computes
+        that draw as ``low + (high − low) · next_double``."""
+        for seed in (0, 1, 17):
+            ours = np.random.default_rng(seed)
+            numpy = np.random.default_rng(seed)
+            for _ in range(500):
+                phase = 2.0 * np.pi * ours.random()
+                assert type(phase) is float
+                assert self.bits(phase) == self.bits(
+                    numpy.uniform(0.0, 2.0 * np.pi)
+                )
+            assert ours.bit_generator.state == numpy.bit_generator.state
+
 
 class TestBoundedScorer:
     def test_scorer_correct_under_tiny_cache(self, scorer_world):
