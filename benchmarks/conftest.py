@@ -87,6 +87,17 @@ def mot17_videos(datasets) -> list[PreparedVideo]:
     return datasets["mot17"]
 
 
+def assert_unsampled(videos: list[PreparedVideo]) -> None:
+    """Benches merge on copies of the shared session videos' pairs, so
+    no pair of ``videos`` is left with sampling state."""
+    assert all(
+        pair.n_sampled == 0
+        for video in videos
+        for pairs in video.window_pairs
+        for pair in pairs
+    )
+
+
 def publish(name: str, text: str) -> None:
     """Print a reproduced table and persist it under benchmarks/results/."""
     print()

@@ -6,7 +6,7 @@ regret at several iteration budgets and checks it (a) decreases with τ and
 (b) stays within a constant factor of the bound's shape.
 """
 
-from conftest import publish
+from conftest import assert_unsampled, publish
 
 from repro.core.regret import RegretTracker
 from repro.core.scores import exact_normalized_score
@@ -26,13 +26,12 @@ def _measure(videos):
 
     rows = []
     for tau in TAUS:
-        video.reset_sampling()
         scorer = ReidScorer(
             SimReIDModel(video.world, seed=1), cost=CostModel()
         )
         result = TMerge(
             k=0.05, tau_max=tau, seed=3, s_min=s_min, use_ulb=False
-        ).run(pairs, scorer)
+        ).run([pair.copy() for pair in pairs], scorer)
         bound = RegretTracker.theoretical_bound(len(pairs), tau)
         rows.append((tau, result.extra["average_regret"], bound))
     return rows
@@ -42,6 +41,7 @@ def test_regret_follows_bound_shape(benchmark, mot17_videos):
     rows = benchmark.pedantic(
         lambda: _measure(mot17_videos), rounds=1, iterations=1
     )
+    assert_unsampled(mot17_videos)
     publish(
         "ext_regret",
         format_table(

@@ -7,7 +7,7 @@ per draw (higher REC) at a higher extraction cost per draw, tracing the
 accuracy/cost knob sequence models add.
 """
 
-from conftest import publish
+from conftest import assert_unsampled, publish
 
 from repro.core.tmerge import TMerge
 from repro.experiments.reporting import format_table
@@ -25,7 +25,6 @@ def _measure(videos):
         seconds = 0.0
         frames = 0
         for video in videos:
-            video.reset_sampling()
             scorer = SequenceReidScorer(
                 SimReIDModel(video.world, seed=1),
                 cost=CostModel(),
@@ -35,7 +34,7 @@ def _measure(videos):
                 if not pairs:
                     continue
                 result = TMerge(k=0.05, tau_max=TAU, seed=3).run(
-                    pairs, scorer
+                    [pair.copy() for pair in pairs], scorer
                 )
                 rec = window_recall(result.candidate_keys, gt)
                 if rec is not None:
@@ -52,6 +51,7 @@ def test_sequence_reid_tradeoff(benchmark, mot17_videos):
     rows = benchmark.pedantic(
         lambda: _measure(mot17_videos), rounds=1, iterations=1
     )
+    assert_unsampled(mot17_videos)
     publish(
         "ext_sequence_reid",
         format_table(

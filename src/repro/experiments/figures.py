@@ -326,7 +326,6 @@ def fig9_window_length(
         for video, gt in zip(videos, video_gt):
             if not gt:
                 continue
-            video.reset_sampling()
             scorer = ReidScorer(
                 SimReIDModel(video.world, seed=reid_seed), cost=CostModel()
             )
@@ -334,7 +333,9 @@ def fig9_window_length(
             for pairs in video.window_pairs:
                 if pairs:
                     found |= (
-                        merger_factory(pairs).run(pairs, scorer).candidate_keys
+                        merger_factory(pairs)
+                        .run([pair.copy() for pair in pairs], scorer)
+                        .candidate_keys
                     )
             recs.append(len(found & gt) / len(gt))
         return sum(recs) / len(recs) if recs else 1.0
@@ -391,9 +392,9 @@ def _identify_and_confirm(
 
     The oracle stands in for the paper's human-inspection step (§I):
     candidates the algorithm surfaces are checked and only true polyonymous
-    pairs are merged.
+    pairs are merged.  The merger draws on copies of the video's pairs,
+    as the window runner does, so the video stays unsampled.
     """
-    video.reset_sampling()
     scorer = ReidScorer(
         SimReIDModel(video.world, seed=reid_seed), cost=CostModel()
     )
@@ -401,7 +402,7 @@ def _identify_and_confirm(
     for pairs, gt_keys in zip(video.window_pairs, video.window_gt):
         if not pairs:
             continue
-        result = merger_factory().run(pairs, scorer)
+        result = merger_factory().run([pair.copy() for pair in pairs], scorer)
         confirmed |= result.candidate_keys & gt_keys
     return confirmed
 

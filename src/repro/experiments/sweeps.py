@@ -110,10 +110,6 @@ def evaluate_merger(
         else ParallelExecutor(workers, parallel_backend)
     ) as executor:
         for video in videos:
-            # The runner leaves pairs as it found them, but direct
-            # merger.run calls on the same videos (figures, benches)
-            # leave them sampled.
-            video.reset_sampling()
             merger = factory()
             method = merger.name
             run = run_windows(

@@ -14,15 +14,23 @@ from repro.geometry.box import BBox
 
 
 def iou(a: BBox, b: BBox) -> float:
-    """Intersection-over-union of two boxes, in ``[0, 1]``."""
-    inter = a.intersection(b)
-    if inter is None:
+    """Intersection-over-union of two boxes, in ``[0, 1]``.
+
+    Computes with the IEEE operations of :func:`iou_matrix`, in its order
+    (an empty overlap returns ``0.0`` at once), so ``iou(a, b) ==
+    iou_matrix([a], [b])[0, 0]`` bit for bit on float coordinates (Python
+    or numpy float64), up to the sign of a zero: touching, disjoint and
+    zero-area pairs give ``0.0``.
+    """
+    ax1, ay1, ax2, ay2 = a.x1, a.y1, a.x2, a.y2
+    bx1, by1, bx2, by2 = b.x1, b.y1, b.x2, b.y2
+    w = (ax2 if ax2 < bx2 else bx2) - (ax1 if ax1 > bx1 else bx1)
+    h = (ay2 if ay2 < by2 else by2) - (ay1 if ay1 > by1 else by1)
+    if w <= 0.0 or h <= 0.0:
         return 0.0
-    inter_area = inter.area
-    union = a.area + b.area - inter_area
-    if union <= 0:
-        return 0.0
-    return inter_area / union
+    inter = w * h
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+    return inter / union if union > 0 else 0.0
 
 
 def boxes_to_array(boxes: list[BBox]) -> np.ndarray:

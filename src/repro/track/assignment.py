@@ -5,7 +5,8 @@ the potentials/shortest-augmenting-path formulation; it handles rectangular
 cost matrices by operating on rows ≤ columns and transposing otherwise.
 :func:`greedy_assignment` is the cheap alternative some trackers (IoU
 tracker) use.  :func:`solve_assignment` wraps either with cost gating, which
-is how the trackers consume them.
+is how the trackers consume them.  :func:`associate_iou` is the
+IoU-gated trackers' association kernel (IoU tracker, SORT, Tracktor).
 
 With a finite gate, :func:`solve_assignment` first checks whether every row
 and every column holds at most one admissible entry (finite and
@@ -18,7 +19,11 @@ on frames with conflicts (DESIGN.md §9.3).
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
+
+from repro.geometry import BBox, iou
 
 _INF = float("inf")
 
@@ -175,3 +180,53 @@ def solve_assignment(
         clamped = cost
     pairs = hungarian(clamped)
     return [(r, c) for r, c in pairs if cost[r, c] <= max_cost]
+
+
+def associate_iou(
+    predicted: Sequence[BBox],
+    detected: Sequence[BBox],
+    min_iou: float,
+    method: str = "hungarian",
+) -> list[tuple[int, int]]:
+    """Match track boxes to detection boxes on IoU, gated at ``min_iou``.
+
+    Returns exactly ``solve_assignment(1.0 - iou_matrix(predicted,
+    detected), 1.0 - min_iou, method)``, bit for bit, without the numpy
+    round trip on the usual small, conflict-free frame.  The IoU rows come
+    from the scalar :func:`~repro.geometry.iou` (the same IEEE operations
+    as ``iou_matrix``) and each entry is gated as ``1.0 - iou <= max_cost``,
+    the float test :func:`solve_assignment` applies.  When every row and
+    every column holds at most one admissible entry, those entries are the
+    answer in row order: Hungarian's sentinel argument (module docstring)
+    covers the optimal method, and greedy takes every admissible pair
+    before its first inadmissible one.  Otherwise the rows go to
+    :func:`solve_assignment` unchanged.
+
+    Box coordinates must be finite: the detector clips its boxes and
+    :mod:`repro.io` rejects non-finite rows, so no tracker sees one.
+
+    Args:
+        predicted: one box per track (rows).
+        detected: one box per detection (columns).
+        min_iou: the smallest IoU a match may have.
+        method: ``"hungarian"`` (optimal) or ``"greedy"``.
+
+    Returns:
+        ``(row, col)`` pairs sorted by row.
+    """
+    if method not in ("hungarian", "greedy"):
+        raise ValueError(f"unknown assignment method {method!r}")
+    if not predicted or not detected:
+        return []
+    max_cost = 1.0 - min_iou
+    rows = [[iou(box, other) for other in detected] for box in predicted]
+    matches = []
+    taken: set[int] = set()
+    for r, row in enumerate(rows):
+        hits = [c for c, value in enumerate(row) if 1.0 - value <= max_cost]
+        if len(hits) > 1 or (hits and hits[0] in taken):
+            return solve_assignment(1.0 - np.array(rows), max_cost, method)
+        if hits:
+            taken.add(hits[0])
+            matches.append((r, hits[0]))
+    return matches

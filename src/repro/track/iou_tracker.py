@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.detect import Detection
-from repro.geometry import iou_matrix
-from repro.track.assignment import solve_assignment
+from repro.track.assignment import associate_iou
 from repro.track.base import Track, Tracker, TrackerStream
 
 
@@ -99,11 +98,11 @@ class IoUStream(TrackerStream):
         detections = [
             d for d in detections if d.confidence >= cfg.min_confidence
         ]
-        track_boxes = [at.track.observations[-1].bbox for at in active]
-        det_boxes = [d.bbox for d in detections]
-        ious = iou_matrix(track_boxes, det_boxes)
-        matches = solve_assignment(
-            1.0 - ious, max_cost=1.0 - cfg.iou_threshold, method="greedy"
+        matches = associate_iou(
+            [at.track.observations[-1].bbox for at in active],
+            [d.bbox for d in detections],
+            cfg.iou_threshold,
+            method="greedy",
         )
 
         matched_tracks = {r for r, _ in matches}

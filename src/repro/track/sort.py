@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.detect import Detection
-from repro.geometry import iou_matrix
-from repro.track.assignment import solve_assignment
+from repro.track.assignment import associate_iou
 from repro.track.base import Track, Tracker
 from repro.track.kalman import KalmanBoxTracker
 
@@ -59,13 +58,10 @@ class SortTracker(Tracker):
             detections = [
                 d for d in detections if d.confidence >= self.min_confidence
             ]
-            predicted = [st.kalman.predict() for st in active]
-            det_boxes = [d.bbox for d in detections]
-            ious = iou_matrix(predicted, det_boxes)
-            matches = solve_assignment(
-                1.0 - ious,
-                max_cost=1.0 - self.iou_threshold,
-                method="hungarian",
+            matches = associate_iou(
+                [st.kalman.predict() for st in active],
+                [d.bbox for d in detections],
+                self.iou_threshold,
             )
 
             matched_tracks = {r for r, _ in matches}

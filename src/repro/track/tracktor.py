@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.detect import Detection
-from repro.geometry import BBox, iou_matrix
-from repro.track.assignment import solve_assignment
+from repro.geometry import BBox, iou
+from repro.track.assignment import associate_iou
 from repro.track.base import Track, Tracker, TrackerStream
 
 
@@ -113,13 +113,10 @@ class TracktorStream(TrackerStream):
         detections = [
             d for d in detections if d.confidence >= cfg.min_confidence
         ]
-        predicted = [rt.extrapolate() for rt in active]
-        det_boxes = [d.bbox for d in detections]
-        ious = iou_matrix(predicted, det_boxes)
-        matches = solve_assignment(
-            1.0 - ious,
-            max_cost=1.0 - cfg.sigma_active,
-            method="hungarian",
+        matches = associate_iou(
+            [rt.extrapolate() for rt in active],
+            [d.bbox for d in detections],
+            cfg.sigma_active,
         )
 
         matched_tracks = {r for r, _ in matches}
@@ -155,12 +152,9 @@ class TracktorStream(TrackerStream):
                 continue
             # Tracktor suppresses new tracks overlapping active ones
             # (they are assumed to be the same object), including tracks
-            # this loop has just started.  IoU is elementwise, so one
-            # column equals the per-track values.
-            overlaps = iou_matrix(
-                [rt.box for rt in self.active], [detection.bbox]
-            )
-            if (overlaps > 0.3).any():
+            # this loop has just started.
+            box = detection.bbox
+            if any(iou(rt.box, box) > 0.3 for rt in self.active):
                 continue
             track = Track(self.next_id)
             track.append(frame, detection)

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from repro.track.assignment import greedy_assignment, hungarian, solve_assignment
+from repro.geometry import BBox, iou_matrix
+from repro.track.assignment import (
+    associate_iou,
+    greedy_assignment,
+    hungarian,
+    solve_assignment,
+)
 
 
 def brute_force_cost(cost: np.ndarray) -> float:
@@ -233,3 +239,79 @@ class TestGatedFastPath:
             reference_solve(cost, 1e308)
         with pytest.raises(ValueError):
             solve_assignment(cost, max_cost=1e308)
+
+
+#: Boxes on a coarse grid: many overlap several others, so gates conflict.
+_GRID_BOX = st.builds(
+    lambda x, y, w, h: BBox(x, y, x + w, y + h),
+    st.sampled_from([0.0, 1.0, 2.0, 3.5]),
+    st.sampled_from([0.0, 1.0, 2.5]),
+    st.sampled_from([0.0, 2.0, 3.0, 4.0]),
+    st.sampled_from([1.0, 3.0, 4.0]),
+)
+_BOX_LISTS = st.lists(_GRID_BOX, max_size=6)
+_MIN_IOU = st.sampled_from([0.0, 0.2, 0.3, 0.4, 0.5, 1.0])
+
+
+class TestAssociateIou:
+    """The kernel equals ``solve_assignment`` on ``1 - iou_matrix``."""
+
+    @staticmethod
+    def reference(predicted, detected, min_iou, method):
+        cost = 1.0 - iou_matrix(predicted, detected)
+        return solve_assignment(cost, 1.0 - min_iou, method)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        predicted=_BOX_LISTS,
+        detected=_BOX_LISTS,
+        min_iou=_MIN_IOU,
+        method=st.sampled_from(["hungarian", "greedy"]),
+    )
+    def test_matches_solve_assignment(
+        self, predicted, detected, min_iou, method
+    ):
+        assert associate_iou(
+            predicted, detected, min_iou, method
+        ) == self.reference(predicted, detected, min_iou, method)
+
+    @pytest.mark.parametrize("method", ["hungarian", "greedy"])
+    def test_empty_sides(self, method):
+        box = BBox(0.0, 0.0, 1.0, 1.0)
+        for predicted, detected in (([], []), ([box], []), ([], [box])):
+            assert associate_iou(predicted, detected, 0.3, method) == []
+
+    @pytest.mark.parametrize("method", ["hungarian", "greedy"])
+    def test_conflict_falls_back(self, method):
+        # Both tracks clear the gate on both detections; the optimum
+        # (and greedy) pair each with its closer detection.
+        predicted = [BBox(0.0, 0.0, 10.0, 10.0), BBox(1.0, 0.0, 11.0, 10.0)]
+        detected = [BBox(1.5, 0.0, 11.5, 10.0), BBox(0.0, 0.0, 10.0, 10.0)]
+        expected = self.reference(predicted, detected, 0.5, method)
+        assert expected == [(0, 1), (1, 0)]
+        with mock.patch(
+            "repro.track.assignment.solve_assignment",
+            wraps=solve_assignment,
+        ) as solve:
+            assert associate_iou(predicted, detected, 0.5, method) == expected
+        assert solve.call_count == 1
+
+    @pytest.mark.parametrize("method", ["hungarian", "greedy"])
+    def test_conflict_free_skips_the_solver(self, method):
+        predicted = [BBox(0.0, 0.0, 2.0, 2.0), BBox(20.0, 0.0, 22.0, 2.0)]
+        detected = [
+            BBox(20.5, 0.0, 22.5, 2.0),
+            BBox(50.0, 50.0, 51.0, 51.0),
+            BBox(0.0, 0.1, 2.0, 2.1),
+        ]
+        forbidden = AssertionError("conflict-free frame reached the solver")
+        with mock.patch(
+            "repro.track.assignment.solve_assignment", side_effect=forbidden
+        ):
+            matches = associate_iou(predicted, detected, 0.5, method)
+        assert matches == [(0, 2), (1, 0)]
+        assert matches == self.reference(predicted, detected, 0.5, method)
+
+    def test_unknown_method(self):
+        with pytest.raises(ValueError):
+            associate_iou([], [], 0.5, method="auction")

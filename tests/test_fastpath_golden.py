@@ -2,7 +2,8 @@
 
 The digests were captured from the reference implementation before the
 association and scoring fast paths (DESIGN.md §9.3) replaced it; they pin
-those rewrites to the exact bits it produced: track ids, frames and boxes,
+those rewrites to the exact bits it produced: track ids, frames and boxes
+(Tracktor, and SORT and the IoU tracker since the scalar IoU kernel),
 feature bytes (hence the extraction RNG draw order), distances, and the
 cache counters with their telemetry mirrors.  A digest change here means an
 output changed; never refresh one to make a rewrite pass.
@@ -33,7 +34,7 @@ from repro.reid.cost import CostModel
 from repro.synth import simulate_world
 from repro.synth.datasets import preset_by_name
 from repro.telemetry import Telemetry
-from repro.track import TracktorTracker
+from repro.track import IoUTracker, SortTracker, TracktorTracker
 
 
 def track_fingerprint(tracks) -> str:
@@ -73,19 +74,42 @@ TRACKER_GOLDEN = {
 }
 
 
-def tracker_run(preset: str):
+#: The other IoU-gated trackers, captured before ``associate_iou``
+#: replaced their ``iou_matrix`` + ``solve_assignment`` calls.  Every case
+#: has frames with gate conflicts, so the Hungarian and greedy fallbacks
+#: are pinned as well as the conflict-free path.
+IOU_GATED_GOLDEN = {
+    ("iou", "mot17"): (40, "652eaa4098d140d2"),
+    ("iou", "pathtrack"): (61, "25ab37fddc7a988d"),
+    ("sort", "mot17"): (30, "2dcef5f4ce9b0c7e"),
+    ("sort", "pathtrack"): (46, "489cf417957aa3dc"),
+}
+
+IOU_GATED_TRACKERS = {"iou": IoUTracker, "sort": SortTracker}
+
+
+def tracker_run(preset: str, tracker_cls=TracktorTracker):
     frames, scene, detector_seed = TRACKER_CASES[preset]
     world = simulate_world(
         preset_by_name(preset).config, frames, seed=scene
     )
     detections = NoisyDetector().detect_video(world, seed=detector_seed)
-    return TracktorTracker().run(detections)
+    return tracker_cls().run(detections)
 
 
 @pytest.mark.parametrize("preset", sorted(TRACKER_CASES))
 def test_tracktor_run_fingerprint(preset):
     tracks = tracker_run(preset)
     assert (len(tracks), track_fingerprint(tracks)) == TRACKER_GOLDEN[preset]
+
+
+@pytest.mark.parametrize(
+    "case", sorted(IOU_GATED_GOLDEN), ids=lambda case: "-".join(case)
+)
+def test_iou_gated_run_fingerprint(case):
+    name, preset = case
+    tracks = tracker_run(preset, IOU_GATED_TRACKERS[name])
+    assert (len(tracks), track_fingerprint(tracks)) == IOU_GATED_GOLDEN[case]
 
 
 # ----------------------------------------------------------------------

@@ -7,8 +7,10 @@ benchmark run.
 
 import pytest
 
+from repro.core.tmerge import TMerge
 from repro.experiments import figures
 from repro.experiments.prep import prepare_dataset
+from repro.experiments.sweeps import evaluate_merger
 
 
 @pytest.fixture(scope="module")
@@ -111,3 +113,59 @@ class TestFigureFunctions:
         rows = figures.table2_fps(unbatched, {}, rec_targets=(0.5,))
         assert [r[0] for r in rows] == ["BL", "PS", "LCB", "TMerge"]
         assert all(len(r) == 2 for r in rows)
+
+
+def assert_unsampled(videos):
+    """No pair of ``videos`` carries sampling state."""
+    assert all(
+        pair.n_sampled == 0
+        for video in videos
+        for pairs in video.window_pairs
+        for pair in pairs
+    )
+
+
+class TestSharedVideosStayUnsampled:
+    """Figure code merges on copies of a prepared video's pairs, as the
+    window runner does, so consumers sharing a video need no reset.  The
+    pinned rows were produced by the earlier code, which merged on the
+    video's own pairs after a ``reset_sampling``."""
+
+    def test_identify_and_confirm(self, micro_videos):
+        def factory():
+            return TMerge(k=0.1, tau_max=200, batch_size=10, seed=3)
+
+        first = figures._identify_and_confirm(micro_videos[0], factory)
+        assert_unsampled(micro_videos)
+        assert figures._identify_and_confirm(micro_videos[0], factory) == first
+        assert sorted(first) == [
+            (0, 13), (2, 8), (4, 9), (4, 12), (6, 11), (17, 19), (18, 20),
+        ]
+
+    def test_evaluate_merger(self, micro_videos):
+        point = evaluate_merger(
+            lambda: TMerge(k=0.1, tau_max=100, seed=3), micro_videos
+        )
+        assert_unsampled(micro_videos)
+        assert (point.rec, point.reid_invocations, point.fps) == (
+            0.5, 158, 378.11948575749955,
+        )
+
+    def test_fig9_rows(self, monkeypatch):
+        from repro.experiments import prep
+
+        seen = []
+        rewindow = prep.rewindow
+
+        def spy(video, length):
+            seen.append(rewindow(video, length))
+            return seen[-1]
+
+        monkeypatch.setattr(prep, "rewindow", spy)
+        rows = figures.fig9_window_length(
+            preset="kitti", lengths=(150, 300), n_videos=1, n_frames=300,
+            draws_per_pair=20, batch_size=10,
+        )
+        assert len(seen) == 2
+        assert_unsampled(seen)
+        assert rows == [(150, 0.8, 0.6), (300, 0.8, 0.8)]

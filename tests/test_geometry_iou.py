@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.geometry import BBox, iou, iou_matrix
 
@@ -76,3 +76,80 @@ def test_iou_symmetric_and_bounded(ax, ay, bx, by, w, h):
     value = iou(a, b)
     assert 0.0 <= value <= 1.0 + 1e-12
     assert value == pytest.approx(iou(b, a))
+
+
+def _bits(value) -> bytes:
+    """The float64 bytes of ``value`` with a zero's sign dropped (numpy
+    versions disagree on ``clip(-0.0, 0.0, None)``; ``1 - iou`` does not
+    see the sign)."""
+    return np.float64(value + 0.0).tobytes()
+
+
+#: Coordinates from a coarse grid (so boxes touch, nest, coincide and
+#: collapse to zero area) or any float in range.
+_COORD = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 10.0]),
+    st.floats(0, 100),
+)
+_SIZE = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0, 30)
+)
+
+
+@st.composite
+def boxes(draw):
+    """A box of Python floats or, as SORT's Kalman boxes may, of numpy
+    float64 coordinates."""
+    x1, y1 = draw(_COORD), draw(_COORD)
+    x2, y2 = x1 + draw(_SIZE), y1 + draw(_SIZE)
+    if draw(st.booleans()):
+        x1, y1, x2, y2 = (np.float64(v) for v in (x1, y1, x2, y2))
+    return BBox(x1, y1, x2, y2)
+
+
+class TestScalarIouIdentity:
+    """``iou`` repeats ``iou_matrix``'s IEEE operations, so the scalar
+    association kernel gates on the same bits (DESIGN.md §9.3)."""
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (BBox(0.0, 0.0, 1.0, 1.0), BBox(1.0, 0.0, 2.0, 1.0)),  # touching
+            (BBox(0.0, 0.0, 1.0, 1.0), BBox(3.0, 3.0, 4.0, 5.0)),  # disjoint
+            (BBox(0.0, 0.0, 10.0, 10.0), BBox(2.5, 1.0, 3.0, 9.0)),  # nested
+            (BBox(0.1, 0.2, 7.3, 9.9), BBox(0.1, 0.2, 7.3, 9.9)),  # identical
+            (BBox(2.0, 2.0, 2.0, 5.0), BBox(0.0, 0.0, 4.0, 4.0)),  # zero area
+            (BBox(2.0, 2.0, 2.0, 2.0), BBox(2.0, 2.0, 2.0, 2.0)),
+            (BBox(0.1, 0.1, 0.7, 0.3), BBox(0.2, 0.0, 0.9, 0.25)),
+        ],
+    )
+    def test_named_cases(self, a, b):
+        assert _bits(iou(a, b)) == _bits(iou_matrix([a], [b])[0, 0])
+
+    @settings(max_examples=400, deadline=None)
+    @given(a=boxes(), b=boxes())
+    def test_matches_matrix_bit_for_bit(self, a, b):
+        assert _bits(iou(a, b)) == _bits(iou_matrix([a], [b])[0, 0])
+
+    def test_random_tables_bit_for_bit(self):
+        # Overlapping boxes with arbitrary fractions, so every rounding
+        # step shows; the second table carries numpy float64 corners.
+        rng = np.random.default_rng(7)
+
+        def draw(n, as_numpy):
+            corners = rng.uniform(0.0, 40.0, size=(n, 2))
+            sizes = rng.uniform(0.0, 25.0, size=(n, 2))
+            boxes = []
+            for (x, y), (w, h) in zip(corners, sizes):
+                values = (x, y, x + w, y + h)
+                if not as_numpy:
+                    values = tuple(float(v) for v in values)
+                boxes.append(BBox(*values))
+            return boxes
+
+        a, b = draw(40, as_numpy=False), draw(50, as_numpy=True)
+        matrix = iou_matrix(a, b)
+        assert (matrix > 0).sum() > 500
+        for i, box_a in enumerate(a):
+            for j, box_b in enumerate(b):
+                assert _bits(iou(box_a, box_b)) == _bits(matrix[i, j])
