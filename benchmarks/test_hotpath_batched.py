@@ -14,45 +14,19 @@ the ``bench-perf`` lane's ``perf_summary.json`` / ``perf_trend.jsonl``,
 where the speedup *is* checked — see ``python -m repro.experiments perf``).
 """
 
-import time
-
 from conftest import SMOKE, publish, record_summary
 
-from repro.core.tmerge import TMerge
+from repro.experiments.perf import measure
 from repro.experiments.reporting import format_table
-from repro.experiments.sweeps import evaluate_merger
-from repro.telemetry import Telemetry
 
 BATCH = 8
 SCALAR_TAU = 800 if SMOKE else 1600
 BATCH_TAU = SCALAR_TAU // BATCH
 
 
-def _run(batch_size: int | None, tau_max: int, videos):
-    telemetry = Telemetry()
-
-    def factory():
-        return TMerge(
-            k=0.1, tau_max=tau_max, batch_size=batch_size, seed=3
-        )
-
-    start = time.perf_counter()
-    point = evaluate_merger(factory, videos, telemetry=telemetry)
-    wall_s = time.perf_counter() - start
-    observations = telemetry.metrics.value("reid.distances")
-    return {
-        "point": point,
-        "wall_s": wall_s,
-        "observations": observations,
-        "ms_per_obs": (
-            wall_s * 1000.0 / observations if observations else float("inf")
-        ),
-    }
-
-
 def test_hotpath_batched_speedup(mot17_videos):
-    scalar = _run(None, SCALAR_TAU, mot17_videos)
-    batched = _run(BATCH, BATCH_TAU, mot17_videos)
+    scalar = measure(mot17_videos, None, SCALAR_TAU)
+    batched = measure(mot17_videos, BATCH, BATCH_TAU)
 
     speedup = (
         scalar["ms_per_obs"] / batched["ms_per_obs"]
@@ -69,16 +43,16 @@ def test_hotpath_batched_speedup(mot17_videos):
                     int(scalar["observations"]),
                     round(scalar["wall_s"], 3),
                     round(scalar["ms_per_obs"], 4),
-                    round(scalar["point"].simulated_seconds, 2),
-                    round(scalar["point"].rec, 3),
+                    round(scalar["simulated_seconds"], 2),
+                    round(scalar["recall"], 3),
                 ],
                 [
                     f"TMerge-B{BATCH}",
                     int(batched["observations"]),
                     round(batched["wall_s"], 3),
                     round(batched["ms_per_obs"], 4),
-                    round(batched["point"].simulated_seconds, 2),
-                    round(batched["point"].rec, 3),
+                    round(batched["simulated_seconds"], 2),
+                    round(batched["recall"], 3),
                 ],
             ],
             title=(
@@ -89,9 +63,9 @@ def test_hotpath_batched_speedup(mot17_videos):
     )
     record_summary(
         "hotpath_batched",
-        recall=batched["point"].rec,
-        reid_invocations=batched["point"].reid_invocations,
-        simulated_ms=batched["point"].simulated_seconds * 1000.0,
+        recall=batched["recall"],
+        reid_invocations=batched["reid_invocations"],
+        simulated_ms=batched["simulated_seconds"] * 1000.0,
         extras={
             "batch_size": float(BATCH),
             "scalar_wall_s": scalar["wall_s"],
@@ -99,9 +73,9 @@ def test_hotpath_batched_speedup(mot17_videos):
             "scalar_ms_per_obs": scalar["ms_per_obs"],
             "batched_ms_per_obs": batched["ms_per_obs"],
             "hotpath_speedup": speedup,
-            "scalar_recall": scalar["point"].rec,
+            "scalar_recall": scalar["recall"],
             "scalar_simulated_ms": (
-                scalar["point"].simulated_seconds * 1000.0
+                scalar["simulated_seconds"] * 1000.0
             ),
         },
     )
@@ -115,14 +89,11 @@ def test_hotpath_batched_speedup(mot17_videos):
         abs(batched["observations"] - scalar["observations"])
         <= 0.15 * scalar["observations"]
     )
-    assert batched["point"].reid_invocations <= int(
-        1.05 * scalar["point"].reid_invocations
+    assert batched["reid_invocations"] <= int(
+        1.05 * scalar["reid_invocations"]
     )
-    assert (
-        batched["point"].simulated_seconds
-        < scalar["point"].simulated_seconds
-    )
+    assert batched["simulated_seconds"] < scalar["simulated_seconds"]
     if not SMOKE:
         # Recall parity at matched budget (full scale only; smoke runs
         # are too small for stable recall).
-        assert batched["point"].rec >= scalar["point"].rec - 0.1
+        assert batched["recall"] >= scalar["recall"] - 0.1

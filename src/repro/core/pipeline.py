@@ -91,6 +91,29 @@ def empty_merge_result(merger: "Merger") -> MergeResult:
     )
 
 
+def window_pair_sets(
+    n_frames: int,
+    tracks: list[Track],
+    window_length: int,
+    l_max: int | None = None,
+) -> tuple[list[Window], list[list[TrackPair]]]:
+    """The half-overlapping windows of a video and each window's ``P_c``.
+
+    Every track goes to the window owning it; window ``c`` pairs its own
+    tracks with each other and with window ``c - 1``'s
+    (:func:`~repro.core.pairs.build_track_pairs`).
+    """
+    windows = partition_windows(n_frames, window_length, l_max=l_max)
+    windowed = WindowedTracks.assign(tracks, windows)
+    window_pairs = [
+        build_track_pairs(
+            windowed.tracks_of(c), windowed.previous_tracks_of(c)
+        )
+        for c in range(len(windows))
+    ]
+    return windows, window_pairs
+
+
 class Merger(Protocol):
     """Any §III/§IV algorithm: BL, PS, LCB or TMerge (batched or not)."""
 
@@ -437,16 +460,9 @@ class IngestionPipeline:
                 self.workers, self.parallel_backend
             )
         telemetry = Telemetry.for_run(self.telemetry, self.ledger)
-        windows = partition_windows(
-            world.n_frames, self.window_length, l_max=self.l_max
+        windows, window_pairs = window_pair_sets(
+            world.n_frames, tracks, self.window_length, l_max=self.l_max
         )
-        windowed = WindowedTracks.assign(tracks, windows)
-        window_pairs = [
-            build_track_pairs(
-                windowed.tracks_of(c), windowed.previous_tracks_of(c)
-            )
-            for c in range(len(windows))
-        ]
         engine = (
             {}
             if self.workers is None

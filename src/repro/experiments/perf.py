@@ -51,7 +51,7 @@ SMOKE_WORKLOAD = dict(preset="mot17", n_videos=1, seed=0, n_frames=300)
 FULL_WORKLOAD = dict(preset="mot17", n_videos=2, seed=0, n_frames=700)
 
 
-def _measure(
+def measure(
     videos: list[PreparedVideo],
     batch_size: int | None,
     tau_max: int,
@@ -105,7 +105,7 @@ def run_perf(smoke: bool = True, repeats: int = 3) -> dict[str, Any]:
     videos = prepare_dataset(preset, **workload)
 
     def best_of(batch_size: int | None, tau_max: int) -> dict[str, float]:
-        runs = [_measure(videos, batch_size, tau_max) for _ in range(repeats)]
+        runs = [measure(videos, batch_size, tau_max) for _ in range(repeats)]
         best = dict(runs[0])
         for run in runs[1:]:
             if run["wall_s"] < best["wall_s"]:

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.pairs import PairKey, TrackPair, build_track_pairs
-from repro.core.windows import Window, WindowedTracks, partition_windows
+from repro.core.pairs import PairKey, TrackPair
+from repro.core.pipeline import window_pair_sets
+from repro.core.windows import Window
 from repro.detect import Detection, NoisyDetector
 from repro.metrics.matching import (
     TrackGtAssignment,
@@ -50,19 +51,6 @@ class PreparedVideo:
         """Total frames in the prepared video."""
         return self.world.n_frames
 
-    def reset_sampling(self) -> None:
-        """Forget all BBox-pair sampling state (call between algorithm runs)."""
-        for pairs in self.window_pairs:
-            for pair in pairs:
-                pair.reset_sampling()
-
-    def all_gt_keys(self) -> set[PairKey]:
-        """Union of GT polyonymous pair keys across all windows."""
-        keys: set[PairKey] = set()
-        for gt in self.window_gt:
-            keys |= gt
-        return keys
-
 
 def prepare_video(
     preset: DatasetPreset | str,
@@ -93,23 +81,16 @@ def prepare_video(
     tracks = tracker.run(detections)
     assignment = match_tracks_to_gt(tracks, world)
 
-    windows = partition_windows(frames, length)
-    windowed = WindowedTracks.assign(tracks, windows)
-    window_pairs = []
-    window_gt = []
-    for c in range(len(windows)):
-        pairs = build_track_pairs(
-            windowed.tracks_of(c), windowed.previous_tracks_of(c)
-        )
-        window_pairs.append(pairs)
-        window_gt.append(polyonymous_pairs(pairs, assignment))
+    windows, window_pairs = window_pair_sets(frames, tracks, length)
     return PreparedVideo(
         world=world,
         detections=detections,
         tracks=tracks,
         windows=windows,
         window_pairs=window_pairs,
-        window_gt=window_gt,
+        window_gt=[
+            polyonymous_pairs(pairs, assignment) for pairs in window_pairs
+        ],
         assignment=assignment,
     )
 
@@ -121,23 +102,19 @@ def rewindow(video: PreparedVideo, window_length: int) -> PreparedVideo:
     windows, pair sets and per-window GT labels are rebuilt.  Used by the
     window-length sensitivity experiment (Figure 9).
     """
-    windows = partition_windows(video.n_frames, window_length)
-    windowed = WindowedTracks.assign(video.tracks, windows)
-    window_pairs = []
-    window_gt = []
-    for c in range(len(windows)):
-        pairs = build_track_pairs(
-            windowed.tracks_of(c), windowed.previous_tracks_of(c)
-        )
-        window_pairs.append(pairs)
-        window_gt.append(polyonymous_pairs(pairs, video.assignment))
+    windows, window_pairs = window_pair_sets(
+        video.n_frames, video.tracks, window_length
+    )
     return PreparedVideo(
         world=video.world,
         detections=video.detections,
         tracks=video.tracks,
         windows=windows,
         window_pairs=window_pairs,
-        window_gt=window_gt,
+        window_gt=[
+            polyonymous_pairs(pairs, video.assignment)
+            for pairs in window_pairs
+        ],
         assignment=video.assignment,
     )
 

@@ -20,9 +20,9 @@ enforcing the invariants the reproduction's correctness rests on:
 * **REPRO010** — observers are injected; no module-level ``Telemetry()``
   / registry / ``DecisionLedger()`` singletons.
 
-Run it with ``python -m repro.lint src tests benchmarks`` (non-zero exit
-on violations), or programmatically via :func:`lint_paths` /
-:func:`lint_source`.  Rules self-document through ``--list-rules`` and
+Run it with ``python -m repro.lint src tests benchmarks examples``
+(non-zero exit on violations), or programmatically via
+:func:`lint_paths` / :func:`lint_source`.  Rules self-document through ``--list-rules`` and
 carry their own violating/clean fixture snippets.
 """
 

@@ -797,7 +797,6 @@ _OBSERVER_HOMES = {
     "Telemetry": "telemetry",
     "MetricsRegistry": "telemetry",
     "Tracer": "telemetry",
-    "Profiler": "telemetry",
     "DecisionLedger": "provenance",
 }
 
@@ -812,7 +811,7 @@ class InjectedTelemetryRule(Rule):
     )
     rationale = (
         "A module-level `Telemetry()` (or bare `MetricsRegistry` / "
-        "`Tracer` / `Profiler` / `DecisionLedger`) is ambient global "
+        "`Tracer` / `DecisionLedger`) is ambient global "
         "state: every run records into the same object, so two "
         "experiments in one process contaminate each other's counters — "
         "and, since the ledger rides in checkpoints, each other's resume "

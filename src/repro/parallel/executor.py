@@ -243,7 +243,7 @@ class WindowOutcome:
             :meth:`~repro.reid.cost.CostModel.state_dict`.
         telemetry: the window Telemetry's
             :meth:`~repro.telemetry.Telemetry.export` payload (counters,
-            histograms, spans, profiler stats and decision events).
+            histograms, spans with their wall times and decision events).
         resilience_stats: the window scorer's resilience counters.
     """
 

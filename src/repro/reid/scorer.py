@@ -27,7 +27,7 @@ import numpy as np
 from repro import contracts
 from repro.reid.cost import CostModel
 from repro.reid.model import SimReIDModel
-from repro.telemetry import Telemetry, profiled
+from repro.telemetry import Telemetry
 from repro.track.base import Track
 
 # Unit-norm features make 2.0 the exact supremum of Euclidean distances.
@@ -334,7 +334,6 @@ class ReidScorer:
     # ------------------------------------------------------------------
     # Bulk path (exhaustive scoring, wall-clock-vectorized)
     # ------------------------------------------------------------------
-    @profiled
     def track_features(
         self, track: Track, batch_size: int | None = None
     ) -> np.ndarray:
@@ -366,7 +365,6 @@ class ReidScorer:
                 features[keys[i]] = feature
         return np.stack([features[key] for key in keys])
 
-    @profiled
     def pair_distance_matrix(
         self,
         track_a: Track,
@@ -393,7 +391,6 @@ class ReidScorer:
     # ------------------------------------------------------------------
     # Batched path (the -B variants, §IV-F)
     # ------------------------------------------------------------------
-    @profiled
     def distances_batched(
         self,
         requests: list[tuple[Track, int, Track, int]],

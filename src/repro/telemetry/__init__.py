@@ -1,16 +1,16 @@
 """repro.telemetry — zero-dependency observability for the TMerge stack.
 
-Three primitives (plus the optional decision ledger) behind one
+Two primitives (plus the optional decision ledger) behind one
 injectable facade:
 
 * :class:`MetricsRegistry` — lazily-created counters, gauges and
   histograms (ReID invocations, cache hit/miss/eviction, Thompson
   draws, ULB prunes, breaker flips, degraded windows, …).
-* :class:`Tracer` — nested spans timed on the *simulated*
-  :class:`~repro.reid.cost.CostModel` clock, exported as JSONL.
-* :class:`Profiler` + :func:`profiled` — wall-clock hotspot accounting
-  for the Python implementation itself (kept strictly outside the
-  simulated-cost story).
+* :class:`Tracer` — nested spans on two clocks, exported as JSONL:
+  bit-reproducible stamps on the *simulated*
+  :class:`~repro.reid.cost.CostModel` clock, plus each span's real
+  ``wall_ms`` (the one field that is not reproducible), which
+  :meth:`Tracer.hotspots` ranks to show where the wall time went.
 
 Plus the operational export surface: :func:`render_openmetrics` /
 :func:`parse_openmetrics` expose a registry in the OpenMetrics /
@@ -39,7 +39,6 @@ from repro.telemetry.openmetrics import (
     parse_openmetrics,
     render_openmetrics,
 )
-from repro.telemetry.profiling import FunctionStats, Profiler, profiled
 from repro.telemetry.tracing import (
     Span,
     Tracer,
@@ -49,17 +48,14 @@ from repro.telemetry.tracing import (
 __all__ = [
     "Counter",
     "DEFAULT_BUCKETS",
-    "FunctionStats",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "Profiler",
     "Span",
     "Telemetry",
     "Tracer",
     "metric_name",
     "parse_openmetrics",
-    "profiled",
     "render_openmetrics",
     "spans_from_jsonl",
 ]

@@ -2,8 +2,7 @@
 
 One ``Telemetry`` object bundles the observability primitives — a
 :class:`~repro.telemetry.metrics.MetricsRegistry`, a
-:class:`~repro.telemetry.tracing.Tracer`, a
-:class:`~repro.telemetry.profiling.Profiler` and, when the run records
+:class:`~repro.telemetry.tracing.Tracer` and, when the run records
 merge decisions, a :class:`~repro.provenance.DecisionLedger` — behind
 the handful of shortcuts call sites actually use (``count``,
 ``observe``, ``span``, ``record``).
@@ -25,13 +24,11 @@ from contextlib import AbstractContextManager
 
 from repro.provenance.ledger import DecisionLedger
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.profiling import Profiler
 from repro.telemetry.tracing import Span, Tracer
 
 
 class Telemetry:
-    """Metrics + tracing + profiling (+ an optional decision ledger) for
-    one run.
+    """Metrics + tracing (+ an optional decision ledger) for one run.
 
     Args:
         clock: optional simulated clock (a
@@ -50,7 +47,6 @@ class Telemetry:
     ) -> None:
         self.metrics = MetricsRegistry()
         self.tracer = Tracer(clock=clock)
-        self.profiler = Profiler()
         self.ledger = ledger
 
     @classmethod
@@ -64,7 +60,7 @@ class Telemetry:
 
         No telemetry gives a private instance carrying ``ledger``.  A
         telemetry with no new ``ledger`` is returned as is; otherwise a
-        shallow copy shares its metrics, tracer and profiler and carries
+        shallow copy shares its metrics and tracer and carries
         ``ledger``, so the caller's object is never mutated.
         """
         if telemetry is None:
@@ -133,18 +129,18 @@ class Telemetry:
                 span.to_dict()
                 for span in sorted(self.tracer.spans, key=lambda s: s.span_id)
             ],
-            "profile": self.profiler.stats_snapshot(),
             "ledger": [] if self.ledger is None else self.ledger.to_dicts(),
         }
 
     def absorb(self, payload: dict) -> None:
         """Fold an :meth:`export` payload into this Telemetry.
 
-        Callers absorb in window-index order: counters, histograms and
-        profiler stats add up in that order, spans are re-numbered
-        (:meth:`Tracer.absorb`) and decision events re-sequenced
+        Callers absorb in window-index order: counters and histograms
+        add up in that order, spans are re-numbered with their wall
+        times (:meth:`Tracer.absorb`) and decision events re-sequenced
         (:meth:`DecisionLedger.absorb`), so the merged state is
-        worker-count independent.  Events are dropped when this
+        worker-count independent, span wall times aside.  Events are
+        dropped when this
         Telemetry carries no ledger.
         """
         self.metrics.merge_delta(payload["counters"])
@@ -152,7 +148,6 @@ class Telemetry:
         self.tracer.absorb(
             [Span.from_dict(span) for span in payload["spans"]]
         )
-        self.profiler.merge_stats(payload["profile"])
         if self.ledger is not None:
             self.ledger.absorb(payload["ledger"])
 
@@ -160,9 +155,12 @@ class Telemetry:
     # Reporting
     # ------------------------------------------------------------------
     def report(self, top: int = 10) -> str:
-        """Combined metrics + hotspot report as plain text."""
-        parts = [self.metrics.report()]
-        hotspots = self.profiler.report(top)
-        if hotspots:
-            parts.append(hotspots)
-        return "\n\n".join(part for part in parts if part)
+        """Metrics plus the ``top`` span hotspots (:meth:`Tracer.hotspots`)
+        as plain text."""
+        rows = self.tracer.hotspots(top)
+        lines = ["hotspots (wall time):"] if rows else ["no spans recorded"]
+        for name, spans, wall_ms in rows:
+            lines.append(f"  {name}: {spans} spans, {wall_ms:.2f} ms total")
+        return "\n\n".join(
+            part for part in (self.metrics.report(), "\n".join(lines)) if part
+        )

@@ -1,12 +1,14 @@
-"""Span-based tracing on the simulated clock.
+"""Span-based tracing on two clocks.
 
 A :class:`Tracer` produces nested :class:`Span` records whose timestamps
-come from the *simulated* :class:`~repro.reid.cost.CostModel` clock, not
-wall time — so traces are bit-reproducible and a span's duration is
-exactly the simulated milliseconds the traced region charged.  Spans
-carry deterministic sequential ids (no UUIDs, no wall-clock epochs),
-nest through an explicit stack, and export to JSONL one object per
-finished span.
+come from the *simulated* :class:`~repro.reid.cost.CostModel` clock, so
+a span's duration is exactly the simulated milliseconds the traced
+region charged.  Each span also carries ``wall_ms``, the real time its
+``with`` body took: the library's one wall clock, and the one span
+field that is not bit-reproducible.  :meth:`Tracer.hotspots` ranks span
+names by that wall time.  Spans carry deterministic sequential ids (no
+UUIDs, no wall-clock epochs), nest through an explicit stack, and
+export to JSONL one object per finished span.
 
 Usage::
 
@@ -20,6 +22,7 @@ Usage::
 from __future__ import annotations
 
 import json
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -36,6 +39,8 @@ class Span:
         start_ms: simulated milliseconds at entry.
         end_ms: simulated milliseconds at exit (``None`` while open).
         attributes: caller-supplied key/value context.
+        wall_ms: real milliseconds the span was open (0.0 while open);
+            not reproducible, unlike every other field.
     """
 
     span_id: int
@@ -44,6 +49,7 @@ class Span:
     start_ms: float
     end_ms: float | None = None
     attributes: dict[str, object] = field(default_factory=dict)
+    wall_ms: float = 0.0
 
     @property
     def duration_ms(self) -> float:
@@ -61,6 +67,7 @@ class Span:
             "start_ms": self.start_ms,
             "end_ms": self.end_ms,
             "attributes": dict(self.attributes),
+            "wall_ms": self.wall_ms,
         }
 
     @classmethod
@@ -75,6 +82,7 @@ class Span:
             start_ms=float(payload["start_ms"]),  # type: ignore[arg-type]
             end_ms=None if end is None else float(end),  # type: ignore[arg-type]
             attributes=dict(payload.get("attributes") or {}),  # type: ignore[arg-type]
+            wall_ms=float(payload["wall_ms"]),  # type: ignore[arg-type]
         )
 
 
@@ -114,7 +122,8 @@ class Tracer:
 
         The span is appended to :attr:`spans` on exit (children finish
         before parents, so the list is in completion order; sort by
-        ``span_id`` for start order).
+        ``span_id`` for start order), its ``wall_ms`` stamped with the
+        ``perf_counter`` time the body took.
         """
         parent = self.current
         record = Span(
@@ -126,9 +135,11 @@ class Tracer:
         )
         self._next_id += 1
         self._stack.append(record)
+        start = time.perf_counter()
         try:
             yield record
         finally:
+            record.wall_ms = (time.perf_counter() - start) * 1e3
             self._stack.pop()
             record.end_ms = self._now()
             self.spans.append(record)
@@ -141,10 +152,10 @@ class Tracer:
         Every absorbed span receives a fresh sequential id from this
         tracer; internal parent/child links are remapped, and root spans
         are re-parented under ``parent_id`` (default: the currently open
-        span, or ``None``).  Timestamps are kept verbatim — they remain
-        on the *worker's* clock (window-local simulated milliseconds for
-        parallel runs).  Absorbed spans are appended in id (start)
-        order.
+        span, or ``None``).  Timestamps and ``wall_ms`` are kept
+        verbatim — they remain on the *worker's* clocks (window-local
+        simulated milliseconds for parallel runs).  Absorbed spans are
+        appended in id (start) order.
         """
         if parent_id is None and self.current is not None:
             parent_id = self.current.span_id
@@ -166,10 +177,25 @@ class Tracer:
                 start_ms=span.start_ms,
                 end_ms=span.end_ms,
                 attributes=dict(span.attributes),
+                wall_ms=span.wall_ms,
             )
             self.spans.append(record)
             adopted.append(record)
         return adopted
+
+    def hotspots(self, top: int = 10) -> list[tuple[str, int, float]]:
+        """The ``top`` span names by total wall time, heaviest first.
+
+        Each row is ``(name, spans, total wall ms)``; a span's wall time
+        includes its children's, so nested names overlap.
+        """
+        counts: dict[str, int] = {}
+        totals: dict[str, float] = {}
+        for span in self.spans:
+            counts[span.name] = counts.get(span.name, 0) + 1
+            totals[span.name] = totals.get(span.name, 0.0) + span.wall_ms
+        ranked = sorted(counts, key=lambda name: (-totals[name], name))
+        return [(name, counts[name], totals[name]) for name in ranked[:top]]
 
     # ------------------------------------------------------------------
     # Export

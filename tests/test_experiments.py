@@ -41,15 +41,6 @@ class TestPrepareVideo:
             keys = {p.key for p in pairs}
             assert gt <= keys
 
-    def test_reset_sampling(self, prepared):
-        import numpy as np
-
-        video = prepared[0]
-        pair = next(p for pairs in video.window_pairs for p in pairs)
-        pair.sample_bbox_pair(np.random.default_rng(0))
-        video.reset_sampling()
-        assert pair.n_sampled == 0
-
     def test_preset_by_name_path(self):
         video = prepare_video("kitti", seed=0, n_frames=60, window_length=100)
         assert video.n_frames == 60

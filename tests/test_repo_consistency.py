@@ -172,9 +172,12 @@ class TestLinter:
         assert report.files_checked > 50
 
     def test_tests_and_benchmarks_are_lint_clean(self):
+        """Also the examples, the top-level API's callers."""
         from repro.lint import lint_paths
 
-        report = lint_paths([REPO / "tests", REPO / "benchmarks"])
+        report = lint_paths(
+            [REPO / "tests", REPO / "benchmarks", REPO / "examples"]
+        )
         rendered = "\n".join(v.render() for v in report.violations)
         assert report.ok, f"lint violations:\n{rendered}"
 

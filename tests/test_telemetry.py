@@ -1,5 +1,5 @@
-"""Telemetry layer: metrics semantics, spans on the simulated clock,
-JSONL round-trips, the @profiled hook, and the bit-identity guarantee
+"""Telemetry layer: metrics semantics, spans on the simulated and wall
+clocks, JSONL round-trips, span hotspots, and the bit-identity guarantee
 (a pipeline run with telemetry injected produces exactly the same
 merge results as one without)."""
 
@@ -13,13 +13,7 @@ from repro.core.pipeline import IngestionPipeline
 from repro.core.tmerge import TMerge
 from repro.reid import CostModel
 from repro.streaming import StreamingIngestionService, SyntheticFeedSource
-from repro.telemetry import (
-    MetricsRegistry,
-    Profiler,
-    Telemetry,
-    Tracer,
-    profiled,
-)
+from repro.telemetry import MetricsRegistry, Telemetry, Tracer
 from repro.telemetry.metrics import Histogram
 from repro.telemetry.openmetrics import (
     metric_name,
@@ -176,53 +170,81 @@ class TestTracing:
 
 
 # ---------------------------------------------------------------------------
-# @profiled
+# The wall clock: each span's wall_ms, and hotspots over spans
 # ---------------------------------------------------------------------------
-class _Widget:
-    def __init__(self, telemetry=None):
-        self.telemetry = telemetry
+def _nested_tracer():
+    cost = CostModel()
+    tracer = Tracer(clock=cost)
+    with tracer.span("outer"):
+        with tracer.span("inner"):
+            cost.charge_extract()
+            with tracer.span("leaf"):
+                pass
+        with tracer.span("inner"):
+            pass
+    return tracer
 
-    @profiled
-    def work(self, x):
-        return x * 2
 
-    @profiled(name="widget.slow")
-    def named(self):
-        return "ok"
+class TestWallClock:
+    def test_closed_spans_carry_wall_ms(self):
+        tracer = _nested_tracer()
+        by_id = {s.span_id: s for s in tracer.spans}
+        for span in tracer.spans:
+            assert span.wall_ms >= 0.0
+            if span.parent_id is not None:
+                assert span.wall_ms <= by_id[span.parent_id].wall_ms
+
+    def test_open_span_reads_zero_wall_ms(self):
+        tracer = Tracer()
+        with tracer.span("open") as span:
+            assert span.wall_ms == 0.0
+
+    def test_jsonl_round_trip_keeps_wall_ms(self):
+        tracer = _nested_tracer()
+        restored = spans_from_jsonl(tracer.to_jsonl())
+        ordered = sorted(tracer.spans, key=lambda s: s.span_id)
+        assert [s.wall_ms for s in restored] == [s.wall_ms for s in ordered]
+
+    def test_absorb_keeps_wall_ms(self):
+        worker = _nested_tracer()
+        host = Tracer()
+        with host.span("ingest"):
+            adopted = host.absorb(worker.spans)
+        ordered = sorted(worker.spans, key=lambda s: s.span_id)
+        assert [s.wall_ms for s in adopted] == [s.wall_ms for s in ordered]
 
 
 class TestProfiling:
-    def test_passthrough_without_telemetry(self):
-        assert _Widget().work(21) == 42
+    """Where the wall time went, read off the spans."""
 
     def test_records_with_telemetry(self):
         telemetry = Telemetry()
-        widget = _Widget(telemetry)
-        assert widget.work(1) == 2
-        widget.work(2)
-        stats = telemetry.profiler.hotspots()
-        assert len(stats) == 1
-        assert stats[0].name == "_Widget.work"
-        assert stats[0].calls == 2
-        assert stats[0].total_seconds >= 0.0
-
-    def test_custom_label(self):
-        telemetry = Telemetry()
-        _Widget(telemetry).named()
-        assert telemetry.profiler.hotspots()[0].name == "widget.slow"
+        for window_id in range(2):
+            with telemetry.span("window", window_id=window_id):
+                pass
+        [(name, spans, wall_ms)] = telemetry.tracer.hotspots()
+        assert (name, spans) == ("window", 2)
+        assert wall_ms == pytest.approx(
+            sum(s.wall_ms for s in telemetry.tracer.spans)
+        )
 
     def test_hotspots_ranked_by_total_time(self):
-        profiler = Profiler()
-        profiler.record("cheap", 0.001)
-        profiler.record("hot", 0.5)
-        profiler.record("hot", 0.5)
-        ranked = profiler.hotspots(top=2)
-        assert [s.name for s in ranked] == ["hot", "cheap"]
-        assert ranked[0].mean_seconds == pytest.approx(0.5)
-        assert "hot" in profiler.report()
+        tracer = Tracer()
+        tracer.absorb(
+            [
+                Span(1, None, "cheap", 0.0, 0.0, wall_ms=1.0),
+                Span(2, None, "hot", 0.0, 0.0, wall_ms=500.0),
+                Span(3, None, "hot", 0.0, 0.0, wall_ms=500.0),
+                Span(4, None, "tail", 0.0, 0.0, wall_ms=0.5),
+            ]
+        )
+        assert tracer.hotspots(top=2) == [
+            ("hot", 2, 1000.0),
+            ("cheap", 1, 1.0),
+        ]
 
     def test_empty_report(self):
-        assert "no profiled calls" in Profiler().report()
+        assert "no spans recorded" in Telemetry().report()
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +273,20 @@ class TestFacade:
     def test_report_combines_metrics_and_hotspots(self):
         telemetry = Telemetry()
         telemetry.count("reid.invocations", 7)
-        telemetry.profiler.record("f", 0.01)
+        with telemetry.span("window"):
+            pass
         report = telemetry.report()
         assert "reid.invocations = 7" in report
-        assert "hotspots" in report
+        assert "hotspots (wall time):" in report
+        assert "window: 1 spans" in report
+
+    def test_export_carries_no_profile(self):
+        telemetry = Telemetry()
+        with telemetry.span("window"):
+            pass
+        payload = telemetry.export()
+        assert "profile" not in payload
+        assert payload["spans"][0]["wall_ms"] >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +384,12 @@ class TestPipelineIntegration:
         ]
         assert merges
         assert all(s.parent_id in window_ids for s in merges)
+
+    def test_report_ranks_span_hotspots(self, runs):
+        _, observed, telemetry = runs
+        names = [name for name, _, _ in telemetry.tracer.hotspots()]
+        assert {"ingest", "window", "tmerge.run"} <= set(names)
+        assert f"window: {len(observed.windows)} spans" in telemetry.report()
 
 
 # ---------------------------------------------------------------------------
@@ -555,17 +593,34 @@ class TestParallelReassembly:
         )
 
     def test_hotspots_cross_the_pool_seam(self, engine_runs):
-        """Regression: worker profiler stats used to be dropped, so
-        sharded runs reported no wall-clock hotspots at all."""
-        calls = {
+        """Regression: worker wall times used to be dropped, so sharded
+        runs reported no wall-clock hotspots at all."""
+        rows = {
             workers: sorted(
-                (stats.name, stats.calls)
-                for stats in telemetry.profiler.hotspots()
+                (name, spans)
+                for name, spans, _ in telemetry.tracer.hotspots(top=100)
             )
             for workers, (_, telemetry) in engine_runs.items()
         }
-        assert calls[1], "expected profiled calls under workers=1"
-        assert calls[2] == calls[1]
+        result = engine_runs[1][0]
+        assert ("window", len(result.windows)) in rows[1]
+        assert rows[2] == rows[1]
+        for _, telemetry in engine_runs.values():
+            assert "tmerge.run" in telemetry.report()
+
+    def test_span_tree_matches_across_worker_counts(self, engine_runs):
+        """Everything but ``wall_ms`` is worker-count independent."""
+        trees = {
+            workers: [
+                (s.span_id, s.parent_id, s.name, s.start_ms, s.end_ms)
+                for s in sorted(
+                    telemetry.tracer.spans, key=lambda s: s.span_id
+                )
+            ]
+            for workers, (_, telemetry) in engine_runs.items()
+        }
+        assert trees[1]
+        assert trees[2] == trees[1]
 
     def test_streaming_run_reports_hotspots(self):
         world = tiny_world(n_frames=600, seed=4)
@@ -576,6 +631,6 @@ class TestParallelReassembly:
             window_length=300,
             telemetry=telemetry,
         ).run(SyntheticFeedSource(world))
-        hotspots = telemetry.profiler.hotspots()
-        assert hotspots, "expected profiled calls from the service"
-        assert all(stats.calls > 0 for stats in hotspots)
+        rows = telemetry.tracer.hotspots()
+        assert "stream.window" in [name for name, _, _ in rows]
+        assert all(spans > 0 and wall_ms >= 0.0 for _, spans, wall_ms in rows)
