@@ -36,7 +36,7 @@ def spatial_distance(track_a: Track, track_b: Track) -> float:
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class TrackPair:
     """An unordered candidate pair ``p_{i,j}`` of distinct tracks.
 
@@ -60,6 +60,10 @@ class TrackPair:
         # Paired tracks are finished, so the budget is fixed; the sampler
         # reads it on every draw.
         self._n_bbox_pairs = len(self.track_a) * len(self.track_b)
+
+    def __reduce__(self):
+        """Pickle through the constructor, not the slot-state hooks."""
+        return (type(self), (self.track_a, self.track_b, self._sampled))
 
     @property
     def key(self) -> PairKey:

@@ -17,7 +17,7 @@ from repro.geometry import BBox, clip_bbox
 from repro.synth.world import VideoGroundTruth
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     """One detector output.
 
@@ -36,10 +36,12 @@ class Detection:
     source_id: int | None
     visibility: float
 
-    @property
-    def is_clutter(self) -> bool:
-        """True for false-positive detections with no source object."""
-        return self.source_id is None
+    def __reduce__(self):
+        """Pickle through the constructor, not the slot-state hooks."""
+        return (
+            type(self),
+            (self.bbox, self.confidence, self.source_id, self.visibility),
+        )
 
     def to_dict(self) -> dict:
         """Pure-JSON form (used by streaming checkpoints and feeds)."""

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BBox:
     """An axis-aligned bounding box in image coordinates.
 
@@ -33,6 +33,10 @@ class BBox:
             raise ValueError(
                 f"degenerate bbox: ({self.x1}, {self.y1}, {self.x2}, {self.y2})"
             )
+
+    def __reduce__(self):
+        """Pickle through the constructor, not the slot-state hooks."""
+        return (type(self), (self.x1, self.y1, self.x2, self.y2))
 
     @classmethod
     def from_center(cls, cx: float, cy: float, w: float, h: float) -> "BBox":
@@ -87,13 +91,6 @@ class BBox:
         """Return a copy shifted by ``(dx, dy)``."""
         return BBox(self.x1 + dx, self.y1 + dy, self.x2 + dx, self.y2 + dy)
 
-    def scaled(self, factor: float) -> "BBox":
-        """Return a copy scaled about its center by ``factor``."""
-        if factor < 0:
-            raise ValueError(f"negative scale factor: {factor}")
-        cx, cy = self.center
-        return BBox.from_center(cx, cy, self.width * factor, self.height * factor)
-
     def intersection(self, other: "BBox") -> "BBox | None":
         """Overlapping region with ``other``, or ``None`` if disjoint."""
         x1 = max(self.x1, other.x1)
@@ -103,10 +100,6 @@ class BBox:
         if x2 <= x1 or y2 <= y1:
             return None
         return BBox(x1, y1, x2, y2)
-
-    def contains_point(self, x: float, y: float) -> bool:
-        """Whether ``(x, y)`` lies inside the box (inclusive)."""
-        return self.x1 <= x <= self.x2 and self.y1 <= y <= self.y2
 
 
 def center_distance(a: BBox, b: BBox) -> float:

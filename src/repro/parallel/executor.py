@@ -584,10 +584,9 @@ def run_windows(
             inline, no pool).  The caller owns it and closes it, so its
             pool can serve many calls.
         telemetry: optional run-level telemetry.  Every window records a
-            ``window`` span and a ``window.merge_ms`` sample into it
-            (window-local telemetry is absorbed in window-index order,
-            plus one ``parallel.shard`` span per busy window, ranked in
-            dispatch order), and
+            ``window`` span (with its ``window_id`` and ``n_pairs``) and
+            a ``window.merge_ms`` sample into it (window-local telemetry
+            is absorbed in window-index order), and
             :attr:`WindowRun.window_metrics` is reported.
         ledger: optional run-level decision ledger, riding on the run's
             Telemetry.  Window-local ledgers are absorbed into it in
@@ -638,16 +637,6 @@ def run_windows(
         window_results.append(outcome.result)
         outcome.fold_into(cost, stats_total, run_telemetry)
         window_metrics.append(dict(outcome.telemetry["counters"]))
-    for rank, outcome in enumerate(outcomes):
-        with run_telemetry.span(
-            "parallel.shard",
-            shard_id=rank,
-            window_ids=[outcome.index],
-            n_pairs=len(window_pairs[outcome.index]),
-            backend=executor.backend,
-            n_workers=executor.n_workers,
-        ):
-            pass
     return WindowRun(
         window_results=window_results,
         cost=cost,

@@ -27,7 +27,7 @@ from repro.synth.world import VideoGroundTruth
 DEFAULT_FRAME_INTERVAL_MS = 33.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrameEvent:
     """One frame's detections arriving at the service intake.
 
@@ -42,6 +42,10 @@ class FrameEvent:
     frame: int
     detections: list[Detection] = field(default_factory=list)
     arrival_ms: float = 0.0
+
+    def __reduce__(self):
+        """Pickle through the constructor, not the slot-state hooks."""
+        return (type(self), (self.frame, self.detections, self.arrival_ms))
 
     def to_dict(self) -> dict:
         """Pure-JSON form (checkpointed while queued)."""

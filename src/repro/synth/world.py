@@ -38,7 +38,7 @@ _MIN_VISIBILITY = 0.02
 _MIN_ONSCREEN_FRACTION = 0.25
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundTruthState:
     """One object's ground truth at one frame.
 
@@ -52,6 +52,10 @@ class GroundTruthState:
     object_id: int
     bbox: BBox
     visibility: float
+
+    def __reduce__(self):
+        """Pickle through the constructor, not the slot-state hooks."""
+        return (type(self), (self.object_id, self.bbox, self.visibility))
 
 
 @dataclass

@@ -15,12 +15,16 @@ from repro.detect import Detection
 from repro.geometry import BBox
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrackObservation:
     """One (frame, detection) membership of a track."""
 
     frame: int
     detection: Detection
+
+    def __reduce__(self):
+        """Pickle through the constructor, not the slot-state hooks."""
+        return (type(self), (self.frame, self.detection))
 
     @property
     def bbox(self) -> BBox:
@@ -28,7 +32,7 @@ class TrackObservation:
         return self.detection.bbox
 
 
-@dataclass
+@dataclass(slots=True)
 class Track:
     """A tracker-produced track: a TID plus its ordered observations.
 
@@ -39,6 +43,10 @@ class Track:
 
     track_id: int
     observations: list[TrackObservation] = field(default_factory=list)
+
+    def __reduce__(self):
+        """Pickle through the constructor, not the slot-state hooks."""
+        return (type(self), (self.track_id, self.observations))
 
     def append(self, frame: int, detection: Detection) -> None:
         """Add an observation; frames must be strictly increasing."""

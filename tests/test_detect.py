@@ -76,7 +76,6 @@ class TestNoisyDetector:
         detections = NoisyDetector(config).detect_video(world, seed=0)
         clutter = [d for frame in detections for d in frame]
         assert clutter, "expected clutter detections"
-        assert all(d.is_clutter for d in clutter)
         assert all(d.source_id is None for d in clutter)
 
     def test_zero_clutter_rate(self):
@@ -84,7 +83,7 @@ class TestNoisyDetector:
         config = DetectorConfig(clutter_rate=0.0)
         detections = NoisyDetector(config).detect_video(world, seed=0)
         assert all(
-            not d.is_clutter for frame in detections for d in frame
+            d.source_id is not None for frame in detections for d in frame
         )
 
     def test_glare_suppresses_detection(self):

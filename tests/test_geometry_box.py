@@ -55,22 +55,6 @@ class TestBBoxProperties:
         box = BBox(0, 0, 2, 2).translated(3, -1)
         assert box.to_xyxy() == (3.0, -1.0, 5.0, 1.0)
 
-    def test_scaled_preserves_center(self):
-        box = BBox.from_center(5, 5, 2, 4).scaled(2.0)
-        assert box.center == (5.0, 5.0)
-        assert box.width == 4.0
-        assert box.height == 8.0
-
-    def test_scaled_negative_raises(self):
-        with pytest.raises(ValueError):
-            BBox(0, 0, 1, 1).scaled(-1.0)
-
-    def test_contains_point(self):
-        box = BBox(0, 0, 10, 10)
-        assert box.contains_point(5, 5)
-        assert box.contains_point(0, 10)
-        assert not box.contains_point(11, 5)
-
 
 class TestIntersection:
     def test_overlapping(self):

@@ -542,24 +542,26 @@ class TestPoolSeam:
     def test_shard_spans_follow_dispatch_and_name_the_executor(
         self, make_pipeline, chaos_world, tracked
     ):
+        """Each window span carries its task's size and the ingest span
+        names the executor; no empty per-shard span is recorded."""
         telemetry = Telemetry()
         with make_pipeline(
             window_length=100, workers=2, telemetry=telemetry
         ) as pipeline:
             result = pipeline.run_on_tracks(chaos_world, *tracked)
-        spans = [
-            s for s in telemetry.tracer.spans if s.name == "parallel.shard"
-        ]
-        ranked = sorted(spans, key=lambda s: s.attributes["shard_id"])
-        sizes = [s.attributes["n_pairs"] for s in ranked]
-        assert sizes == sorted(sizes, reverse=True)
-        for span in ranked:
-            (index,) = span.attributes["window_ids"]
+        windows = [s for s in telemetry.tracer.spans if s.name == "window"]
+        assert windows
+        for span in windows:
+            index = span.attributes["window_id"]
             assert span.attributes["n_pairs"] == len(
                 result.window_pairs[index]
             )
-            assert span.attributes["n_workers"] == 2
-            assert span.attributes["backend"] == "process"
+        (ingest,) = [s for s in telemetry.tracer.spans if s.name == "ingest"]
+        assert ingest.attributes["workers"] == 2
+        assert ingest.attributes["backend"] == "process"
+        assert not any(
+            s.name == "parallel.shard" for s in telemetry.tracer.spans
+        )
 
     def test_longest_first_breaks_ties_by_index(self):
         tasks = [

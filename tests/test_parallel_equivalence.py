@@ -120,30 +120,21 @@ def test_telemetry_merges_identically(make_pipeline, chaos_world, tracked):
 
 
 def test_shard_spans_recorded(make_pipeline, chaos_world, tracked):
-    """One ``parallel.shard`` span per busy window (each window is one
-    pool task), and together they cover the busy windows exactly."""
+    """One ``window`` span per busy window (each window is one pool
+    task), and together they cover the busy windows exactly."""
     telemetry = Telemetry()
     result = _run(
         make_pipeline, chaos_world, tracked,
         workers=2, seed=1, telemetry=telemetry,
     )
-    shard_spans = [
-        s for s in telemetry.tracer.spans if s.name == "parallel.shard"
+    window_spans = [
+        s for s in telemetry.tracer.spans if s.name == "window"
     ]
     busy = [
         c for c, pairs in enumerate(result.window_pairs) if pairs
     ]
-    assert len(shard_spans) == len(busy)
-    covered = sorted(
-        index
-        for span in shard_spans
-        for index in span.attributes["window_ids"]
-    )
+    covered = sorted(span.attributes["window_id"] for span in window_spans)
     assert covered == busy
-    window_spans = [
-        s for s in telemetry.tracer.spans if s.name == "window"
-    ]
-    assert len(window_spans) == len(busy)
 
 
 def test_workers_one_builds_no_pool(
