@@ -53,19 +53,19 @@ _SUMMARY = BenchSummary()
 
 
 def pytest_addoption(parser) -> None:
-    """Register the parallel-engine worker count for speedup benches."""
+    """Register the parallel-engine worker count for the fig3 bench."""
     parser.addoption(
         "--workers",
         type=int,
         default=4,
-        help="worker count for the parallel-engine speedup benchmark "
-        "(default 4; speedup >1 needs a multi-core machine)",
+        help="worker count the parallel-engine bench compares with "
+        "workers=1 (default 4)",
     )
 
 
 @pytest.fixture(scope="session")
 def bench_workers(request) -> int:
-    """The --workers option (parallel-engine speedup benches)."""
+    """The --workers option (the parallel-engine bench)."""
     return request.config.getoption("--workers")
 
 
@@ -119,8 +119,8 @@ def record_summary(
 ) -> None:
     """Contribute one benchmark's metrics to bench_summary.json.
 
-    ``extras`` records ungated machine-specific numbers (wall-clock
-    speedups); the gate only compares the three metric keys.
+    ``extras`` records ungated numbers (counts, worker settings); the
+    gate only compares the three metric keys.
     """
     _SUMMARY.add(
         name,

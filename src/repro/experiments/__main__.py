@@ -7,7 +7,6 @@ Usage::
     python -m repro.experiments faults            # chaos matrix
     python -m repro.experiments telemetry         # per-window metrics
     python -m repro.experiments telemetry --workers 4   # sharded ingestion
-    python -m repro.experiments parallel --workers 4    # speedup report
     python -m repro.experiments serve --frames 600      # streaming service
     python -m repro.experiments serve --kill-after 2    # kill + resume demo
     python -m repro.experiments serve --ledger-out ledger.jsonl \\
@@ -15,7 +14,6 @@ Usage::
     python -m repro.experiments explain --ledger ledger.jsonl --pair 3 7
     python -m repro.experiments monitor --frames 600    # live dashboard
     python -m repro.experiments gate --current benchmarks/results/bench_summary.json
-    python -m repro.experiments perf --smoke      # batched hot-path check
     python -m repro.experiments scenarios --smoke # regime-sweep matrix
     python -m repro.experiments scenarios --smoke --gate \\
         --matrix-out /tmp/matrix.json             # CI scenario gate
@@ -32,7 +30,6 @@ subcommand accepts only the options it reads (``<command> --help``).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -322,64 +319,6 @@ def run_telemetry(args: argparse.Namespace) -> int:
     return 0
 
 
-def run_parallel(args: argparse.Namespace) -> int:
-    """Time the window-sharded engine against its serial execution.
-
-    Runs the same instrumented ingestion once with ``workers=1`` and
-    once with the requested worker count, verifies the results are
-    bit-identical (the engine's core guarantee), and reports wall-clock
-    speedup.  Wall time here is honest measurement, not simulation —
-    speedup depends on the machine's core count.
-    """
-    import time
-
-    world = _world(args)
-    n_workers = args.workers or 4
-
-    def measure(workers: int):
-        with _pipeline(args, workers) as pipeline:
-            start = time.perf_counter()
-            result = pipeline.run(world)
-            return time.perf_counter() - start, result
-
-    def fingerprint(result):
-        return (
-            [tuple(sorted(r.candidate_keys)) for r in result.window_results],
-            [tuple(sorted(r.scores.items())) for r in result.window_results],
-            [r.degraded for r in result.window_results],
-            result.cost.state_dict(),
-            dict(result.id_map),
-        )
-
-    serial_s, serial = measure(1)
-    parallel_s, parallel = measure(n_workers)
-    if fingerprint(serial) != fingerprint(parallel):
-        raise AssertionError(
-            "parallel run diverged from workers=1 — determinism bug"
-        )
-    rows = [
-        [1, round(serial_s, 3), 1.0],
-        [
-            n_workers,
-            round(parallel_s, 3),
-            round(serial_s / parallel_s, 2) if parallel_s > 0 else float("inf"),
-        ],
-    ]
-    table = format_table(
-        ["workers", "wall seconds", "speedup"],
-        rows,
-        f"Parallel engine — {args.parallel_backend} backend, "
-        f"{len(serial.windows)} windows, results bit-identical",
-    )
-    footer = (
-        f"windows: {len(serial.windows)}, "
-        f"candidates: {len(serial.selected_pairs)}, "
-        f"simulated merge seconds: {serial.total_simulated_seconds:.1f}"
-    )
-    print(f"{table}\n\n{footer}")
-    return 0
-
-
 def run_serve(args: argparse.Namespace) -> int:
     """Drive the streaming ingestion service over a synthetic feed.
 
@@ -565,38 +504,6 @@ def run_gate(args: argparse.Namespace) -> int:
     return 0
 
 
-def run_perf(args: argparse.Namespace) -> int:
-    """Run the batched hot-path microbench; return the exit status.
-
-    The ``bench-perf`` CI lane: measures scalar vs batched TMerge on the
-    same workload, writes ``perf_summary.json``, optionally appends to
-    the committed trend file, and fails (non-zero exit) if the batched
-    sampler is slower per observation than the scalar one.
-    """
-    from repro.experiments import perf
-
-    summary = perf.run_perf(smoke=args.smoke, repeats=args.repeats)
-    print(perf.format_summary(summary))
-
-    out_path = Path(args.output)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    print(f"\nperf summary written to {out_path}")
-
-    if args.trend:
-        perf.append_trend(summary, args.trend)
-        print(f"trend record appended to {args.trend}")
-
-    failures = perf.check_summary(summary)
-    if failures:
-        print("bench-perf: FAIL")
-        for failure in failures:
-            print(f"  - {failure}")
-        return 1
-    print(f"bench-perf: OK (speedup {summary['speedup']:.2f}x >= 1.0)")
-    return 0
-
-
 def run_scenarios(args: argparse.Namespace) -> int:
     """Run the regime-sweep scenario matrix; return the exit status.
 
@@ -700,8 +607,7 @@ _VIDEO_RUN = _options(
 _WORKERS = _options(
     _opt("--workers", type=int, default=None,
          help="window-local regime worker count (default: the "
-         "shared-runtime regime; 4 for the parallel report, 1 for the "
-         "streaming service)"),
+         "shared-runtime regime; 1 for the streaming service)"),
     _opt("--parallel-backend", choices=["process", "thread"],
          default="process",
          help="pool backend for --workers (default process)"),
@@ -778,11 +684,6 @@ COMMANDS = {
         "one instrumented ingestion: per-window counters and spans",
         (_VIDEO_RUN, _WORKERS),
     ),
-    "parallel": Command(
-        run_parallel,
-        "window-sharded engine speedup over workers=1",
-        (_VIDEO_RUN, _WORKERS),
-    ),
     "serve": Command(
         run_serve,
         "streaming service over a synthetic feed",
@@ -828,18 +729,6 @@ COMMANDS = {
             _opt("--baseline",
                  default="benchmarks/results/baseline_summary.json",
                  help="committed baseline summary"),
-        )),
-    ),
-    "perf": Command(
-        run_perf,
-        "batched hot-path microbench",
-        (_SMOKE, _options(
-            _opt("--repeats", type=int, default=3,
-                 help="timed runs per contender, best kept (default 3)"),
-            _opt("--output", default="benchmarks/results/perf_summary.json",
-                 help="where to write the perf summary"),
-            _opt("--trend", default=None,
-                 help="JSONL trend file to append the perf record to"),
         )),
     ),
     "scenarios": Command(

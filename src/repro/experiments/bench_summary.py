@@ -48,9 +48,9 @@ class BenchSummary:
     ) -> None:
         """Record one benchmark's metrics (re-adding a name overwrites).
 
-        ``extras`` carries ungated, machine-specific observations (e.g.
-        the parallel engine's wall-clock speedup); the gate compares
-        only :data:`METRIC_KEYS` and ignores them entirely.
+        ``extras`` carries ungated observations (e.g. the stream soak's
+        degraded-window count); the gate compares only
+        :data:`METRIC_KEYS` and ignores them entirely.
         """
         record = {
             "recall": float(recall),

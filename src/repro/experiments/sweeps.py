@@ -84,8 +84,7 @@ def evaluate_merger(
             videos, riding on the run's Telemetry (window stamps restart
             at 0 per video).  Purely observational like ``telemetry`` —
             results are bit-identical with it on or off
-            (``benchmarks/test_ledger_overhead.py`` measures the
-            wall-clock price and asserts the zero simulated-clock price).
+            (``benchmarks/test_ledger_overhead.py`` asserts it).
         workers: the regime :func:`repro.parallel.run_windows` runs
             each video in.  ``None`` (default) is the shared-runtime
             regime (one runtime per video); an integer is the

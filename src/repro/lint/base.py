@@ -17,13 +17,10 @@ from dataclasses import dataclass, field
 from pathlib import PurePosixPath
 from typing import ClassVar
 
-#: Subpackages whose arithmetic feeds the paper's simulated-cost results,
-#: or that carry window outcomes to them (the parallel engine, the
-#: streaming service, retries and fault injection); wall-clock reads are
-#: forbidden there (REPRO002).
-COST_PATH_SUBPACKAGES = frozenset(
-    {"core", "reid", "parallel", "streaming", "resilience", "faults"}
-)
+#: The one subpackage that may read the wall clock: ``Tracer.span``
+#: stamps each span's ``wall_ms``.  Every other library module reports
+#: the simulated ``CostModel`` clock only (REPRO002).
+WALL_CLOCK_SUBPACKAGE = "telemetry"
 
 #: Module basenames treated as CLI entry points, exempt from the
 #: library-hygiene rule (REPRO004): user-facing output via ``print`` is
@@ -101,8 +98,9 @@ class FileContext:
 
     @property
     def is_cost_path(self) -> bool:
-        """True for library modules on the simulated-cost path."""
-        return self.subpackage in COST_PATH_SUBPACKAGES
+        """True for library modules on the simulated-cost path: every one
+        outside :data:`WALL_CLOCK_SUBPACKAGE`."""
+        return self.is_library and self.subpackage != WALL_CLOCK_SUBPACKAGE
 
 
 def context_for_path(display_path: str) -> FileContext:

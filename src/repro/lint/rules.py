@@ -158,14 +158,15 @@ class NoAmbientRandomnessRule(Rule):
 
 
 class SimulatedCostOnlyRule(Rule):
-    """REPRO002 — no wall-clock reads on the simulated-cost path."""
+    """REPRO002 — no wall-clock reads in the library outside telemetry."""
 
     rule_id = "REPRO002"
-    title = "no wall-clock time on the simulated-cost path"
+    title = "no wall-clock reads outside `Tracer.span`"
     rationale = (
-        "All figures report the simulated `scorer.cost` clock; a "
-        "`time.time()`/`perf_counter()` read inside core, reid, "
-        "parallel, streaming, resilience or faults silently turns "
+        "All figures report the simulated `scorer.cost` clock, and "
+        "`benchmarks/e2e` is the one harness that times the system; a "
+        "`time.time()`/`perf_counter()` read anywhere in the library "
+        "but `telemetry` (where `Tracer.span` stamps `wall_ms`) turns "
         "reproducible cost accounting into machine-dependent wall time."
     )
     violating_example = textwrap.dedent(
@@ -187,8 +188,10 @@ class SimulatedCostOnlyRule(Rule):
         """
     )
 
+    example_path = "src/repro/experiments/example.py"
+
     def applies_to(self, ctx: FileContext) -> bool:
-        """Only the cost-path subpackages (:data:`COST_PATH_SUBPACKAGES`)."""
+        """Every library module outside ``telemetry``."""
         return ctx.is_cost_path
 
     def check(self, tree: ast.Module, ctx: FileContext) -> list[Violation]:
@@ -202,8 +205,8 @@ class SimulatedCostOnlyRule(Rule):
                             self.violation(
                                 ctx,
                                 node,
-                                f"`from time import {alias.name}` on the "
-                                "simulated-cost path; charge the injected "
+                                f"`from time import {alias.name}` outside "
+                                "`Tracer.span`; charge the injected "
                                 "`CostModel` clock (`scorer.cost`, read via "
                                 "`cost.seconds`/`cost.milliseconds`) instead",
                             )
@@ -220,8 +223,8 @@ class SimulatedCostOnlyRule(Rule):
                         self.violation(
                             ctx,
                             node,
-                            f"`{'.'.join(chain)}()` reads the wall clock on "
-                            "the simulated-cost path; charge the injected "
+                            f"`{'.'.join(chain)}()` reads the wall clock "
+                            "outside `Tracer.span`; charge the injected "
                             "`CostModel` clock (`scorer.cost`, read via "
                             "`cost.seconds`/`cost.milliseconds`) instead",
                         )

@@ -23,12 +23,10 @@ class TestCli:
         assert set(COMMANDS) == figures | {
             "faults",
             "telemetry",
-            "parallel",
             "serve",
             "monitor",
             "explain",
             "gate",
-            "perf",
             "scenarios",
             "list",
         }

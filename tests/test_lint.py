@@ -78,11 +78,16 @@ class TestRuleScoping:
         assert run_rule("REPRO001", source, "tests/test_x.py") == []
 
     def test_wallclock_only_on_cost_path(self):
+        """Every library module is on the cost path but telemetry, whose
+        ``Tracer.span`` is the library's one wall-clock read."""
         source = '"""M."""\nimport time\n_ = time.time()\n'
-        assert len(run_rule("REPRO002", source, "src/repro/core/x.py")) == 1
-        assert len(run_rule("REPRO002", source, "src/repro/parallel/x.py")) == 1
-        assert len(run_rule("REPRO002", source, "src/repro/streaming/x.py")) == 1
-        assert run_rule("REPRO002", source, "src/repro/synth/x.py") == []
+        for sub in ("core", "parallel", "streaming", "synth", "experiments"):
+            path = f"src/repro/{sub}/x.py"
+            assert len(run_rule("REPRO002", source, path)) == 1, path
+        source = '"""M."""\nimport time\n_ = time.perf_counter()\n'
+        assert len(run_rule("REPRO002", source, "src/repro/experiments/x.py")) == 1
+        assert run_rule("REPRO002", source, "src/repro/telemetry/tracing.py") == []
+        assert run_rule("REPRO002", source, "benchmarks/e2e/run.py") == []
 
     def test_print_exempt_in_cli_modules(self):
         source = '"""M."""\nprint("hi")\n'
@@ -159,8 +164,9 @@ class TestContextClassification:
         assert ctx.module_parts == ("repro", "core", "tmerge")
 
     def test_non_cost_library(self):
-        ctx = context_for_path("src/repro/synth/world.py")
+        ctx = context_for_path("src/repro/telemetry/tracing.py")
         assert ctx.is_library and not ctx.is_cost_path
+        assert context_for_path("src/repro/synth/world.py").is_cost_path
 
     def test_tests_and_benchmarks(self):
         assert context_for_path("tests/test_tmerge.py").is_test
